@@ -368,8 +368,8 @@ func Run(workload string, scale Scale, cfg Config) (*Result, error) {
 
 // runPooled executes w on a machine from the process-wide pool. A reset
 // pooled machine is bit-identical to a fresh one, so results are exactly
-// those of a dedicated NewMachine; machines whose run did not finish
-// cleanly are discarded rather than recycled. The hot path (Phases nil)
+// those of a dedicated NewMachine, and a machine goes back to the pool
+// whether its run finished or failed. The hot path (Phases nil)
 // stays allocation-free; with a hook installed, acquisition and
 // execution wall times are reported as run phases.
 func runPooled(w sim.Workload, cfg Config) (*Result, error) {

@@ -299,8 +299,9 @@ func (c *Client) candidates(tgt target) []*endpoint {
 // 503, so routing there wastes an attempt). Followers are demoted, not
 // excluded — with every primary failed or ejected the request still
 // goes somewhere, because a follower may have been promoted since it
-// last answered, and a guess beats a guaranteed local error. Skipping
-// the preferred candidate counts as a failover.
+// last answered, and a guess beats a guaranteed local error. Once every
+// candidate has failed the request, attempts go to the first one not
+// ejected. Skipping the preferred candidate counts as a failover.
 func (c *Client) pick(candidates []*endpoint, failed map[*endpoint]bool) *endpoint {
 	now := c.opts.now()
 	chosen := candidates[0]
@@ -322,6 +323,16 @@ func (c *Client) pick(candidates []*endpoint, failed map[*endpoint]bool) *endpoi
 	if !found {
 		for _, ep := range candidates {
 			if !failed[ep] {
+				chosen, found = ep, true
+				break
+			}
+		}
+	}
+	if !found {
+		// Every endpoint has already failed this request: retry one that
+		// is not ejected rather than the preferred one, which may be dead.
+		for _, ep := range candidates {
+			if ep.available(now) {
 				chosen = ep
 				break
 			}
@@ -668,16 +679,17 @@ func (c *Client) Wait(ctx context.Context, id string) (service.JobView, error) {
 	return c.waitOn(ctx, nil, id, "")
 }
 
+// terminal reports whether a job state is final.
+func terminal(st service.JobState) bool {
+	return st == service.JobDone || st == service.JobFailed || st == service.JobCanceled
+}
+
 // waitOn is Wait pinned to the endpoint that accepted the job.
 func (c *Client) waitOn(ctx context.Context, ep *endpoint, id, trace string) (service.JobView, error) {
 	for {
 		view, err := c.jobOn(ctx, ep, id, trace)
-		if err != nil {
+		if err != nil || terminal(view.State) {
 			return view, err
-		}
-		switch view.State {
-		case service.JobDone, service.JobFailed, service.JobCanceled:
-			return view, nil
 		}
 		select {
 		case <-time.After(c.opts.PollInterval):
@@ -724,7 +736,11 @@ func (c *Client) runCell(ctx context.Context, req service.JobRequest, trace stri
 		if err != nil {
 			return nil, err
 		}
-		view, err = c.waitOn(ctx, ep, view.ID, trace)
+		if !terminal(view.State) {
+			// A cache hit settles in the submit response; only a queued
+			// job needs polling.
+			view, err = c.waitOn(ctx, ep, view.ID, trace)
+		}
 		if errors.Is(err, ErrUnknownJob) {
 			lastErr = err
 			continue // daemon restarted underneath us; resubmit

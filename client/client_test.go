@@ -79,8 +79,46 @@ func TestClientEndToEnd(t *testing.T) {
 	}
 }
 
-// TestClientRetries429: queue-full responses are retried with backoff
-// until the daemon accepts the job.
+// TestRunCellHitCostsOneRequest counts the HTTP requests RunCell makes: a
+// miss submits and polls, a cache hit is settled by the submit response
+// alone.
+func TestRunCellHitCostsOneRequest(t *testing.T) {
+	var requests atomic.Int64
+	// The miss starts executing only once its first poll has arrived, so
+	// it is never already settled in its submit response.
+	s, err := service.New(service.Config{Workers: 1, BeforeRun: func(harness.CellSpec) {
+		for requests.Load() < 2 {
+			time.Sleep(time.Millisecond)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	defer s.Kill()
+
+	c := New(ts.URL, fastOpts())
+	req := service.JobRequest{Workload: "kmeans", Detection: "subblock-4", Scale: "tiny"}
+	if _, err := c.RunCell(testCtx(t), req); err != nil {
+		t.Fatal(err)
+	}
+	miss := requests.Load()
+	if miss < 2 {
+		t.Fatalf("a miss cost %d requests, want a submit plus at least one poll", miss)
+	}
+	if _, err := c.RunCell(testCtx(t), req); err != nil {
+		t.Fatal(err)
+	}
+	if hit := requests.Load() - miss; hit != 1 {
+		t.Fatalf("a cache hit cost %d requests, want 1", hit)
+	}
+}
+
 func TestClientRetries429(t *testing.T) {
 	var posts atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

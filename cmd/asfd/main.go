@@ -28,7 +28,8 @@
 // With -journal the daemon is crash-safe: every accepted job is written
 // to an fsync'd append-only journal before it is acknowledged, and on
 // restart the journal is replayed — completed cells are served from the
-// reloaded snapshot, unfinished ones are re-enqueued. Disk-write
+// reloaded snapshot or from their journaled done records, which carry
+// the result, and unfinished ones are re-enqueued. Disk-write
 // failures degrade the daemon to memory-only operation (visible on
 // /healthz) instead of crashing it.
 package main
@@ -76,8 +77,7 @@ func main() {
 	replicationLagMax := flag.Int("replication-lag-max", 0, "/healthz reports \"lagging\" when the follower is more than this many records behind (0 disables)")
 	replLogCapacity := flag.Int("repl-log-capacity", 0, "in-memory replication log window, frames (0 = default 8192); followers behind the window re-sync from a snapshot")
 	promoteOnStart := flag.Bool("promote-on-start", false, "boot as a standby (replaying the local journal and snapshot) and immediately promote to serving primary")
-	verifySnapshot := flag.Bool("verify-snapshot", false, "re-hash every cache snapshot entry's content digest on load, quarantining mismatches instead of serving them")
-	scrubInterval := flag.Duration("scrub-interval", 0, "background integrity scrub pass interval (0 disables the scrubber and the serve-path digest guard)")
+	scrubInterval := flag.Duration("scrub-interval", 0, "background integrity scrub pass interval (0 disables the scrubber; every cache read verifies its digest regardless)")
 	scrubRate := flag.Int("scrub-rate", 0, "scrubber pacing, entries per second (0 = unpaced beyond idle-priority backoff); needs -scrub-interval")
 	auditSampleRate := flag.Float64("audit-sample-rate", 0, "fraction of scanned entries fully re-executed per scrub pass, 0..1 (rotates deterministically across passes)")
 	auditSeed := flag.Uint64("audit-seed", 0, "seed for the deterministic scrub walk order and re-execution sample (0 = default 1; pin for reproducible audits)")
@@ -114,7 +114,6 @@ func main() {
 		HistoryInterval:   *historyInterval,
 		HistoryCapacity:   *historyCapacity,
 		Following:         following,
-		VerifySnapshot:    *verifySnapshot,
 		ReplicationLagMax: *replicationLagMax,
 		ReplLogCapacity:   *replLogCapacity,
 		ScrubInterval:     *scrubInterval,
@@ -127,11 +126,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "asfd: %v\n", err)
 		os.Exit(1)
 	}
-	if rec := srv.Recovery(); rec.Replayed > 0 || rec.Torn > 0 || rec.Quarantined > 0 || rec.SnapshotQuarantined > 0 {
+	if rec := srv.Recovery(); rec.Replayed > 0 || rec.Torn > 0 || rec.Quarantined > 0 {
 		logger.Info("journal replayed",
 			"jobs", rec.Replayed, "reenqueued", rec.Reenqueued,
 			"fromCache", rec.FromCache, "terminal", rec.Terminal, "torn", rec.Torn,
-			"quarantined", rec.Quarantined, "snapshotQuarantined", rec.SnapshotQuarantined)
+			"quarantined", rec.Quarantined)
 	}
 
 	var follower *replica.Follower

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -45,6 +46,7 @@ func replicaSeed(t *testing.T) uint64 {
 // duplicate simulated cycle, and the corruption counters must show the
 // integrity machinery actually fired.
 func TestReplicaPromotionSoak(t *testing.T) {
+	baseGoroutines := runtime.NumGoroutine()
 	seed := replicaSeed(t)
 	logf := chaosLog(t)
 	fmt.Fprintf(logf, "=== replica soak seed=%#x ===\n", seed)
@@ -240,4 +242,9 @@ func TestReplicaPromotionSoak(t *testing.T) {
 	if cst.RetryBudgetExhausted != 0 {
 		t.Errorf("retry budget exhausted %d times during the failover; stats %+v", cst.RetryBudgetExhausted, cst)
 	}
+
+	fol.Stop()
+	fhs.Close()
+	fsrv.Kill()
+	assertGoroutinesSettle(t, baseGoroutines)
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -59,6 +61,26 @@ func chaosLog(t *testing.T) *os.File {
 	t.Cleanup(func() { f.Close() })
 	t.Logf("chaos log: %s", path)
 	return f
+}
+
+// assertGoroutinesSettle fails t unless the process goroutine count falls
+// back to base within 5s of the last daemon stopping: no worker,
+// simulation thread or connection goroutine may outlive the daemon that
+// started it. Idle client connections are closed first.
+func assertGoroutinesSettle(t *testing.T, base int) {
+	t.Helper()
+	if tr, ok := http.DefaultTransport.(*http.Transport); ok {
+		tr.CloseIdleConnections()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		stacks := make([]byte, 64<<10)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		t.Errorf("%d goroutines still running 5s after the last daemon stopped, baseline %d:\n%s", n, base, stacks)
+	}
 }
 
 type trackedJob struct {
@@ -114,6 +136,7 @@ func drain(t *testing.T, s *service.Server) {
 // they are observed, injected panics never take the daemon down, and
 // disk failures degrade to memory-only mode instead of crashing.
 func TestSoakCrashRecovery(t *testing.T) {
+	baseGoroutines := runtime.NumGoroutine()
 	seed := soakSeed(t)
 	cycles := soakCycles(t)
 	logf := chaosLog(t)
@@ -314,6 +337,7 @@ func TestSoakCrashRecovery(t *testing.T) {
 	if len(reference) == 0 {
 		t.Error("soak observed no completed results")
 	}
+	assertGoroutinesSettle(t, baseGoroutines)
 }
 
 // TestPanicIsolation pins the barrier property on its own: a panicking

@@ -1,19 +1,18 @@
 // Package replica runs the follower half of asfd's warm-standby
-// replication: a sync loop that bootstraps from the primary's snapshot
-// checkpoint, then long-polls its journal stream and applies each
-// CRC-framed, digest-verified record batch into the local server.
+// replication: a sync loop that bootstraps from the primary's bootstrap
+// batch, then long-polls its journal stream and applies each batch of
+// CRC-framed, digest-verified records into the local server.
 //
 // The loop owns no correctness: every integrity check (frame CRC,
 // entry content digest, sequence continuity) lives in the service
-// layer's ApplyReplicatedBatch / ApplyReplicatedSnapshot, so a corrupt
+// layer's ApplyReplicatedBatch / ApplyReplicatedBootstrap, so a corrupt
 // or torn stream is refused there no matter who drives the sync. The
-// loop's job is steering — when to snapshot, when to retry, when to
+// loop's job is steering — when to bootstrap, when to retry, when to
 // stop (the server was promoted out from under it, or Stop was called).
 package replica
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -141,7 +140,7 @@ func (f *Follower) run(ctx context.Context) {
 
 		// Self-healing: a follower cannot re-execute a cell, so when the
 		// local scrubber has quarantined entries the repair path is a
-		// fresh digest-verified snapshot from the primary.
+		// fresh digest-verified bootstrap batch from the primary.
 		if n := srv.AuditRepairPending(); n > 0 {
 			log.Info("audit repair pending, re-syncing from snapshot", "keys", n)
 			if serr := f.syncSnapshot(ctx); serr != nil {
@@ -212,48 +211,19 @@ func (f *Follower) fetchBatch(ctx context.Context, from uint64) (*service.ReplBa
 		f.cfg.PrimaryURL, from, f.cfg.Wait.Milliseconds(), f.cfg.MaxFrames)
 	// The request outlives the long-poll window by a margin, never hangs
 	// forever on a wedged primary.
-	rctx, cancel := context.WithTimeout(ctx, f.cfg.Wait+10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
+	batch, err := f.get(ctx, url, f.cfg.Wait+10*time.Second)
 	if err != nil {
-		return nil, err
-	}
-	resp, err := f.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("replica: stream: %s from %s", resp.Status, f.cfg.PrimaryURL)
-	}
-	var batch service.ReplBatch
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-		return nil, fmt.Errorf("replica: decoding stream batch: %w", err)
+		return nil, fmt.Errorf("replica: stream: %w", err)
 	}
 	return &batch, nil
 }
 
 func (f *Follower) syncSnapshot(ctx context.Context) error {
-	rctx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet,
-		f.cfg.PrimaryURL+"/v1/replication/snapshot", nil)
+	batch, err := f.get(ctx, f.cfg.PrimaryURL+"/v1/replication/snapshot", 60*time.Second)
 	if err != nil {
-		return err
+		return fmt.Errorf("replica: snapshot: %w", err)
 	}
-	resp, err := f.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replica: snapshot: %s from %s", resp.Status, f.cfg.PrimaryURL)
-	}
-	var snap service.ReplSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("replica: decoding snapshot: %w", err)
-	}
-	applied, err := f.cfg.Server.ApplyReplicatedSnapshot(&snap)
+	applied, err := f.cfg.Server.ApplyReplicatedBootstrap(batch.Frames)
 	if err != nil {
 		return err
 	}
@@ -262,8 +232,24 @@ func (f *Follower) syncSnapshot(ctx context.Context) error {
 	f.mu.Unlock()
 	f.note(nil)
 	f.cfg.Logger.Info("snapshot re-sync applied",
-		"entries", strconv.Itoa(applied), "resumeSeq", strconv.FormatUint(snap.Seq, 10))
+		"entries", strconv.Itoa(applied), "resumeSeq", strconv.FormatUint(f.cfg.Server.ReplNextApply(), 10))
 	return nil
+}
+
+// get issues one replication GET with its own timeout and reads the
+// response as a batch.
+func (f *Follower) get(ctx context.Context, url string, timeout time.Duration) (service.ReplBatch, error) {
+	rctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
+	if err != nil {
+		return service.ReplBatch{}, err
+	}
+	resp, err := f.cfg.Client.Do(req)
+	if err != nil {
+		return service.ReplBatch{}, err
+	}
+	return service.ReadReplBatch(resp)
 }
 
 // sleep pauses for the configured backoff; false means the loop was

@@ -1,14 +1,14 @@
 package service
 
-// Integrity audit: the background scrubber, the serve-path digest
-// guard, quarantine, and self-healing repair.
+// Integrity audit: the background scrubber, quarantine, and
+// self-healing repair.
 //
 // The determinism contract — every result is a pure function of its
 // canonical cell — makes integrity cheap to prove and corruption cheap
 // to undo. The scrubber walks the cache and journal in deterministic
 // seeded order (internal/audit): a cheap pass re-hashes each entry
 // against its stored SHA-256 digest (catches at-rest bitrot in the
-// snapshot, journal, and replication frame-log), and an expensive pass
+// snapshot, journal, and replication log), and an expensive pass
 // re-executes a rotating sampled fraction of entries through the
 // simulator and compares bytes (catches logic/state corruption a
 // digest cannot). A mismatch quarantines the entry (one JSON line in
@@ -16,14 +16,12 @@ package service
 // repair: a primary re-executes the cell locally — the recomputation
 // is byte-identical by contract — while a follower, which executes
 // nothing, marks the key repair-pending and lets the replica sync loop
-// re-fetch a digest-verified snapshot from its primary.
+// re-fetch a digest-verified bootstrap batch from its primary.
 //
-// While the scrubber is armed (ScrubInterval > 0), every cache read on
-// the serving path re-hashes the bytes about to be served, so a client
-// can never observe corruption that happened between passes: the entry
-// is quarantined and the cell recomputed as a cache miss instead. With
-// the default ScrubInterval of 0 none of this code runs and the serving
-// path is byte-for-byte its pre-audit self.
+// Between passes, and with the scrubber off, every cache read re-hashes
+// the bytes about to be served (Cache.Get/peek), so a client never
+// observes corrupted bytes: the cache drops the entry, the cell is
+// recomputed as a miss, and auditQuarantineServe records the finding.
 
 import (
 	"bytes"
@@ -45,7 +43,8 @@ const auditRecentCap = 32
 
 // auditState is the scrubber's pass bookkeeping. Its mutex is a leaf:
 // nothing is called while holding it, so it can be taken from code
-// paths that hold s.mu (the serve-path guard) without ordering risk.
+// paths that hold s.mu (a cache read finding corruption) without
+// ordering risk.
 type auditState struct {
 	mu            sync.Mutex
 	passSeq       uint64
@@ -55,10 +54,6 @@ type auditState struct {
 	repairPending map[string]struct{} // follower keys awaiting re-sync repair
 	recent        []string            // most recently quarantined keys, oldest first
 }
-
-// auditArmed reports whether the integrity subsystem is on. cfg is
-// immutable after New, so this needs no lock.
-func (s *Server) auditArmed() bool { return s.cfg.ScrubInterval > 0 }
 
 // AuditPassReport summarizes one scrub pass.
 type AuditPassReport struct {
@@ -352,7 +347,7 @@ func (s *Server) auditExecute(cell *canonicalCell) (data []byte, cycles int64, e
 // the cell locally — the recomputation is byte-identical to the lost
 // bytes by the determinism contract. A follower executes nothing: it
 // marks the key repair-pending, and the replica sync loop re-fetches a
-// digest-verified snapshot from the primary (auditSettleRepairs counts
+// digest-verified bootstrap batch from the primary (auditSettleRepairs counts
 // the repair when the clean entry lands). Reports whether the repair
 // completed here and now.
 func (s *Server) auditRepair(e CacheEntry, following bool) bool {
@@ -406,7 +401,7 @@ func (s *Server) auditQuarantinePath() string {
 
 // auditQuarantine appends one record to the audit quarantine file and
 // remembers the key for /v1/audit. It takes only the audit leaf mutex —
-// callers may hold s.mu (the serve-path guard does).
+// callers may hold s.mu (a cache read under it may find corruption).
 func (s *Server) auditQuarantine(rec audit.QuarantineRecord) {
 	s.audit.mu.Lock()
 	if rec.Key != "" {
@@ -426,10 +421,11 @@ func (s *Server) auditQuarantine(rec audit.QuarantineRecord) {
 		"key", rec.Key, "reason", rec.Reason, "source", rec.Source)
 }
 
-// auditQuarantineServe handles a corrupt entry caught by the serve-path
-// guard between scrub passes: count, quarantine, and let the caller
-// recompute through the normal miss path — the recomputation is the
-// repair, and the client never sees the corrupted bytes.
+// auditQuarantineServe is the cache's corrupt hook: a read found an
+// entry whose bytes no longer match its digest, and the cache dropped
+// it. Count and quarantine it; the caller recomputes through the normal
+// miss path — the recomputation is the repair, and the client never sees
+// the corrupted bytes.
 func (s *Server) auditQuarantineServe(e CacheEntry) {
 	start := time.Now()
 	s.metrics.incAuditMismatch()
@@ -440,23 +436,6 @@ func (s *Server) auditQuarantineServe(e CacheEntry) {
 		Key: e.Key, Workload: e.Workload, Reason: "digest-mismatch",
 		Want: e.Digest, Got: ResultDigest(e.Result), Source: "serve",
 	})
-}
-
-// peekVerified is the worker/promotion-side cache peek, with the same
-// integrity guard as the Submit path when the scrubber is armed. With
-// the scrubber off it is exactly cache.peek.
-func (s *Server) peekVerified(key string) (*CacheEntry, bool) {
-	if !s.auditArmed() {
-		return s.cache.peek(key)
-	}
-	e, outcome := s.cache.VerifyEntry(key)
-	if outcome == VerifyCorrupt {
-		s.auditQuarantineServe(e)
-	}
-	if outcome != VerifyOK {
-		return nil, false
-	}
-	return &e, true
 }
 
 // AuditRepairPending returns the number of quarantined keys awaiting
@@ -525,7 +504,7 @@ type AuditSummary struct {
 // AuditReport assembles the /v1/audit document.
 func (s *Server) AuditReport() AuditSummary {
 	sum := AuditSummary{
-		Enabled:    s.auditArmed(),
+		Enabled:    s.cfg.ScrubInterval > 0,
 		IntervalMs: s.cfg.ScrubInterval.Milliseconds(),
 		SampleRate: s.cfg.AuditSampleRate,
 		Seed:       s.cfg.AuditSeed,

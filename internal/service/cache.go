@@ -29,9 +29,9 @@ type CacheEntry struct {
 	SimCycles int64           `json:"simCycles"`
 	Result    json.RawMessage `json:"result"`
 	// Digest is the hex SHA-256 of the result bytes, computed when the
-	// entry is stored. It rides in snapshots and replication frames so a
-	// reloading or replicating node can prove the bytes it is about to
-	// serve are the bytes that were computed.
+	// entry is stored. It rides in snapshots and done records, and every
+	// cache read re-checks it, so no node serves bytes other than the
+	// ones that were computed.
 	Digest string `json:"digest,omitempty"`
 
 	// Cell is the canonical spec the result was computed from. It lets
@@ -51,6 +51,11 @@ func ResultDigest(result []byte) string {
 // Cache is a bounded LRU of cell results, safe for concurrent use, with
 // JSON snapshot persistence (written on daemon shutdown, reloaded on
 // start) so a restarted asfd keeps its accumulated sweep results.
+//
+// Every read through Get or peek re-hashes the entry's result bytes
+// against its digest under the cache lock. An entry corrupted at rest or
+// in memory is removed and reported as a miss, so the caller recomputes
+// it, and the corrupt hook (when set) receives a copy for quarantine.
 type Cache struct {
 	mu    sync.Mutex
 	max   int
@@ -58,6 +63,10 @@ type Cache struct {
 	byKey map[string]*list.Element
 
 	hits, misses, evictions uint64
+
+	// corrupt is called, outside the lock, with each entry a read found
+	// corrupted. Set once before the cache is shared.
+	corrupt func(CacheEntry)
 }
 
 // NewCache returns a cache bounded to max entries (max <= 0 means 1024).
@@ -72,32 +81,39 @@ func NewCache(max int) *Cache {
 	}
 }
 
-// Get returns the cached result for key, marking it most recently used.
+// Get returns the verified cached result for key, marking it most
+// recently used. A corrupted entry counts as a miss.
 func (c *Cache) Get(key string) (*CacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*CacheEntry), true
+	return c.read(key, true)
 }
 
-// peek returns the entry for key without touching the hit/miss counters
-// or recency order. The worker uses it after Put to serve the bytes the
-// cache actually retained, without that internal read inflating the
-// user-visible hit counter.
+// peek is Get without touching the hit/miss counters or recency order.
+// The worker uses it after Put to serve the bytes the cache actually
+// retained, without that internal read inflating the user-visible hit
+// counter.
 func (c *Cache) peek(key string) (*CacheEntry, bool) {
+	return c.read(key, false)
+}
+
+func (c *Cache) read(key string, touch bool) (*CacheEntry, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
+	e, outcome := c.verifyLocked(key)
+	if touch {
+		if outcome == VerifyOK {
+			c.hits++
+			c.ll.MoveToFront(c.byKey[key])
+		} else {
+			c.misses++
+		}
+	}
+	c.mu.Unlock()
+	if outcome == VerifyCorrupt && c.corrupt != nil {
+		c.corrupt(*e)
+	}
+	if outcome != VerifyOK {
 		return nil, false
 	}
-	return el.Value.(*CacheEntry), true
+	return e, true
 }
 
 // Put stores a result under its key, evicting the least recently used
@@ -155,25 +171,36 @@ const (
 )
 
 // VerifyEntry re-hashes the entry's result bytes against its recorded
-// digest, removing it atomically on mismatch. Lookup, hash, and removal
-// happen under one lock acquisition, so a concurrent eviction can never
-// be mistaken for corruption (it reports VerifyMissing) and a corrupt
-// entry can never be quarantined twice (the second caller sees
-// VerifyMissing too). An entry stored without a digest is stamped by
-// Put, so VerifyOK is the only other healthy outcome.
+// digest, removing it atomically on mismatch, and reports the outcome
+// with a copy of the entry. Lookup, hash, and removal happen under one
+// lock acquisition, so a concurrent eviction can never be mistaken for
+// corruption (it reports VerifyMissing) and a corrupt entry can never be
+// quarantined twice (the second caller sees VerifyMissing too). Unlike
+// Get it leaves quarantine to the caller: the scrubber accounts for what
+// it finds itself.
 func (c *Cache) VerifyEntry(key string) (CacheEntry, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e, outcome := c.verifyLocked(key)
+	if e == nil {
+		return CacheEntry{}, outcome
+	}
+	return *e, outcome
+}
+
+// verifyLocked is the one digest check every cache read goes through
+// (Put stamps a digest on every entry it stores). Caller holds c.mu.
+func (c *Cache) verifyLocked(key string) (*CacheEntry, int) {
 	el, ok := c.byKey[key]
 	if !ok {
-		return CacheEntry{}, VerifyMissing
+		return nil, VerifyMissing
 	}
 	e := el.Value.(*CacheEntry)
-	if e.Digest == "" || ResultDigest(e.Result) == e.Digest {
-		return *e, VerifyOK
+	if ResultDigest(e.Result) == e.Digest {
+		return e, VerifyOK
 	}
 	c.removeLocked(key)
-	return *e, VerifyCorrupt
+	return e, VerifyCorrupt
 }
 
 // Keys returns the content addresses of every cached entry, most
@@ -291,60 +318,16 @@ func (c *Cache) LoadFile(path string) error { return c.LoadFileFS(OSFS{}, path) 
 
 // LoadFileFS is LoadFile over an explicit filesystem. A decode failure
 // is reported as (a wrap of) ErrCorruptSnapshot so the caller can
-// quarantine the file.
+// quarantine the file. Entries are not re-hashed here: every read
+// verifies them, and the scrubber walks them.
 func (c *Cache) LoadFileFS(fsys FS, path string) error {
-	_, err := c.LoadFileVerifiedFS(fsys, path, false)
-	return err
-}
-
-// LoadFileVerifiedFS is LoadFileFS with optional per-entry integrity
-// verification (-verify-snapshot): each entry's result bytes are
-// re-hashed against its recorded digest, and mismatching entries —
-// results silently corrupted at rest — are quarantined to
-// <path>.quarantine as JSON lines and never enter the cache. Entries
-// from pre-digest snapshots (no recorded digest) are accepted and
-// stamped on Put. Returns the number of entries quarantined.
-func (c *Cache) LoadFileVerifiedFS(fsys FS, path string, verify bool) (quarantined int, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, nil
+			return nil
 		}
-		return 0, err
+		return err
 	}
 	defer f.Close()
-
-	var snap snapshotFile
-	if err := json.NewDecoder(f).Decode(&snap); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	if snap.SchemaVersion != keySchemaVersion {
-		return 0, nil
-	}
-	var quarantine File
-	defer func() {
-		if quarantine != nil {
-			quarantine.Close()
-		}
-	}()
-	for i := range snap.Entries {
-		e := snap.Entries[i]
-		if verify && e.Digest != "" && ResultDigest(e.Result) != e.Digest {
-			if quarantine == nil {
-				q, qerr := fsys.Append(path + ".quarantine")
-				if qerr != nil {
-					return quarantined, fmt.Errorf("service: opening snapshot quarantine: %w", qerr)
-				}
-				quarantine = q
-			}
-			line, _ := json.Marshal(&e)
-			if _, werr := quarantine.Write(append(line, '\n')); werr != nil {
-				return quarantined, fmt.Errorf("service: writing snapshot quarantine: %w", werr)
-			}
-			quarantined++
-			continue
-		}
-		c.Put(&e)
-	}
-	return quarantined, nil
+	return c.ReadSnapshot(f)
 }

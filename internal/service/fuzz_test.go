@@ -18,8 +18,8 @@ import (
 // report a frame as both ok and stale, and any line it accepts must
 // re-frame to the same CRC.
 func FuzzJournalDecode(f *testing.F) {
-	if line, err := frameRecord(journalRecord{Op: opDone, ID: "job-7", Key: "abc"}); err == nil {
-		f.Add(bytes.TrimSuffix(line, []byte("\n")))
+	if fr, err := frameRecord(journalRecord{Op: opDone, ID: "job-7", Key: "abc"}); err == nil {
+		f.Add(bytes.TrimSuffix(fr.appendTo(nil), []byte("\n")))
 	}
 	f.Add([]byte(`00000000 {"schema":2,"op":"done","id":"job-1"}`))
 	f.Add([]byte(`{"schema":1,"op":"submitted","id":"job-0"}`))
@@ -32,10 +32,11 @@ func FuzzJournalDecode(f *testing.F) {
 		}
 		if ok {
 			// An accepted frame re-encodes to an identical, verifiable line.
-			line, err := frameRecord(rec)
+			fr, err := frameRecord(rec)
 			if err != nil {
 				t.Fatalf("accepted frame does not re-encode: %v", err)
 			}
+			line := fr.appendTo(nil)
 			if _, ok2, _ := parseFrame(bytes.TrimSuffix(line, []byte("\n"))); !ok2 {
 				t.Fatalf("re-framed record does not verify: %q", line)
 			}
@@ -50,34 +51,47 @@ func FuzzJournalDecode(f *testing.F) {
 	})
 }
 
-// FuzzReplicationFrame decodes arbitrary JSON as each replication wire
-// document and exercises the CRC verification path. Garbage must fail
-// decode or fail verify — never panic, and never verify as authentic.
+// FuzzReplicationFrame throws arbitrary bytes at the batch decoder that
+// reads stream and bootstrap responses. decodeFrames must never panic,
+// and a batch it accepts must re-frame, record by record, into a batch
+// that decodes to the same sequence numbers, ops and result bytes.
 func FuzzReplicationFrame(f *testing.F) {
-	frame := ReplFrame{Seq: 1, Record: journalRecord{Schema: journalSchemaVersion, Op: opDone, ID: "job-1"}}
-	frame.CRC = frame.computeCRC()
-	if b, err := json.Marshal(frame); err == nil {
-		f.Add(b)
+	done := journalRecord{Seq: 1, Op: opDone, ID: "job-1", Key: "abc", Workload: "kmeans",
+		SimCycles: 42, Result: json.RawMessage(`{"cycles":42}`)}
+	done.Digest = ResultDigest(done.Result)
+	if fr, err := frameRecord(done); err == nil {
+		line := fr.appendTo(nil)
+		f.Add(line)
+		flipped := bytes.Clone(line)
+		flipped[bytes.Index(flipped, []byte("42}"))] ^= 0x01
+		f.Add(flipped)
 	}
-	f.Add([]byte(`{"frames":[],"firstSeq":1,"nextSeq":1}`))
-	f.Add([]byte(`{"seq":18446744073709551615,"crc":0}`))
-	f.Add([]byte(`null`))
+	f.Add([]byte("00000000 {}\n"))
+	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var fr ReplFrame
-		if err := json.Unmarshal(data, &fr); err == nil {
-			if fr.verify() && fr.CRC != fr.computeCRC() {
-				t.Fatal("verify accepted a frame whose CRC does not match")
-			}
+		recs, err := decodeFrames(data)
+		if err != nil {
+			return
 		}
-		var batch ReplBatch
-		if err := json.Unmarshal(data, &batch); err == nil {
-			for _, bf := range batch.Frames {
-				bf.verify()
+		var body []byte
+		for _, rec := range recs {
+			fr, err := frameRecord(rec)
+			if err != nil {
+				t.Fatalf("accepted record does not re-encode: %v", err)
 			}
+			body = fr.appendTo(body)
 		}
-		var snap ReplSnapshot
-		if err := json.Unmarshal(data, &snap); err == nil {
-			snap.verify()
+		back, err := decodeFrames(body)
+		if err != nil {
+			t.Fatalf("re-framed batch does not verify: %v", err)
+		}
+		if len(back) != len(recs) {
+			t.Fatalf("re-framed batch has %d records, want %d", len(back), len(recs))
+		}
+		for i := range recs {
+			if back[i].Seq != recs[i].Seq || back[i].Op != recs[i].Op || !bytes.Equal(back[i].Result, recs[i].Result) {
+				t.Fatalf("record %d changed across a re-frame:\n got %+v\nwant %+v", i, back[i], recs[i])
+			}
 		}
 	})
 }

@@ -15,8 +15,10 @@ import (
 // keySchemaVersion guards the cache: a journal written under a different
 // schema is ignored wholesale on replay (its specs may no longer name
 // the same computations), never misinterpreted. Version 2 added
-// per-record CRC32 framing and the propagated deadline.
-const journalSchemaVersion = 2
+// per-record CRC32 framing and the propagated deadline; version 3 made
+// done records carry the settled cache entry and stamped every record
+// with its replication sequence.
+const journalSchemaVersion = 3
 
 // journalOp is one job lifecycle transition.
 type journalOp string
@@ -27,19 +29,27 @@ const (
 	opDone      journalOp = "done"
 	opFailed    journalOp = "failed"
 	opCanceled  journalOp = "canceled"
+
+	// opCheckpoint closes a replication bootstrap batch; its Seq is the
+	// stream sequence the follower resumes from. It is never journaled.
+	opCheckpoint journalOp = "checkpoint"
 )
 
 func (op journalOp) terminal() bool {
 	return op == opDone || op == opFailed || op == opCanceled
 }
 
-// journalRecord is one line of the append-only job journal: a lifecycle
-// transition keyed by job ID and content address. Submitted records
-// carry the full canonical cell (and the propagated deadline, when one
-// was set) so a recovering daemon can re-enqueue the job without any
-// other state; terminal records carry the outcome.
+// journalRecord is one line of the append-only job journal, and one
+// frame of the replication stream: a lifecycle transition keyed by job
+// ID and content address. Submitted records carry the full canonical
+// cell (and the propagated deadline, when one was set) so a recovering
+// daemon can re-enqueue the job without any other state; failed and
+// canceled records carry the outcome; done records carry the settled
+// cache entry — workload, simulated cycles, result bytes and their
+// digest — so replay and followers rebuild the cache from the log alone.
 type journalRecord struct {
 	Schema   int            `json:"schema"`
+	Seq      uint64         `json:"seq,omitempty"` // replication sequence; 0 on compaction and bootstrap records
 	Op       journalOp      `json:"op"`
 	ID       string         `json:"id"`
 	Key      string         `json:"key,omitempty"`
@@ -47,23 +57,67 @@ type journalRecord struct {
 	Deadline string         `json:"deadline,omitempty"` // RFC3339Nano; set on submitted records when the job carried one
 	Error    string         `json:"error,omitempty"`
 	Kind     string         `json:"kind,omitempty"` // failure kind ("panic"/"error") on failed records
+
+	Workload  string          `json:"workload,omitempty"`
+	SimCycles int64           `json:"simCycles,omitempty"`
+	Digest    string          `json:"digest,omitempty"`
+	Result    json.RawMessage `json:"result,omitempty"` // always the payload's last field (see frameRecord)
 }
 
-// frameRecord encodes one journal line: an 8-hex-digit CRC32 (IEEE) of
-// the JSON payload, a space, the payload, a newline. The CRC lets replay
-// tell a flipped bit mid-file from a crash-truncated tail, and lets a
-// replication follower verify a record before applying it.
-func frameRecord(rec journalRecord) ([]byte, error) {
+// doneRecord is the record that settles job id (empty in a bootstrap
+// batch) with cache entry e. Its Result shares e's bytes.
+func doneRecord(id string, e *CacheEntry) journalRecord {
+	return journalRecord{
+		Op: opDone, ID: id, Key: e.Key, Cell: e.Cell,
+		Workload: e.Workload, SimCycles: e.SimCycles, Digest: e.Digest, Result: e.Result,
+	}
+}
+
+// frame is one encoded journal line: an 8-hex-digit CRC32 (IEEE) of the
+// JSON payload, a space, the payload, a newline. A record's result bytes
+// are spliced in as the payload's last field and held by reference, so a
+// frame kept in the replication log shares them with the cache entry
+// instead of copying them.
+type frame struct {
+	head   []byte // CRC, space, and the payload up to the result value
+	result []byte // nil when the record carries no result
+}
+
+// appendTo appends the whole line, newline included, to b.
+func (f frame) appendTo(b []byte) []byte {
+	b = append(b, f.head...)
+	if f.result != nil {
+		b = append(append(b, f.result...), '}')
+	}
+	return append(b, '\n')
+}
+
+// frameRecord encodes rec as one line. The CRC lets replay tell a flipped
+// bit mid-file from a crash-truncated tail, and lets a follower verify a
+// record before applying it. A record is encoded once: the same frame is
+// appended to the disk journal and served to followers.
+func frameRecord(rec journalRecord) (frame, error) {
 	rec.Schema = journalSchemaVersion
+	f := frame{}
+	if len(rec.Result) > 0 {
+		f.result = rec.Result
+	}
+	rec.Result = nil
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return nil, fmt.Errorf("service: encoding journal record: %w", err)
+		return frame{}, fmt.Errorf("service: encoding journal record: %w", err)
 	}
-	line := make([]byte, 0, len(payload)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.ChecksumIEEE(payload))
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
+	if f.result != nil {
+		payload = append(payload[:len(payload)-1], `,"result":`...)
+	}
+	crc := crc32.ChecksumIEEE(payload)
+	if f.result != nil {
+		crc = crc32.Update(crc, crc32.IEEETable, f.result)
+		crc = crc32.Update(crc, crc32.IEEETable, []byte{'}'})
+	}
+	f.head = fmt.Appendf(make([]byte, 0, len(payload)+9), "%08x ", crc)
+	f.head = append(f.head, payload...)
+	return f, nil
 }
 
 // parseFrame decodes one journal line produced by frameRecord. ok is
@@ -98,6 +152,27 @@ func parseFrame(line []byte) (rec journalRecord, ok, stale bool) {
 	return rec, false, false
 }
 
+// decodeFrames decodes a replication batch — the frame lines of a stream
+// or bootstrap response — through parseFrame. Any line that fails its
+// CRC, or belongs to another schema, refuses the whole batch, as does a
+// final line cut short of its newline.
+func decodeFrames(body []byte) ([]journalRecord, error) {
+	var recs []journalRecord
+	for len(body) > 0 {
+		line, rest, ok := bytes.Cut(body, []byte{'\n'})
+		if !ok {
+			return nil, fmt.Errorf("%w: frame %d is torn", ErrReplCorrupt, len(recs))
+		}
+		rec, ok, _ := parseFrame(line)
+		if !ok {
+			return nil, fmt.Errorf("%w: frame %d fails its CRC", ErrReplCorrupt, len(recs))
+		}
+		recs = append(recs, rec)
+		body = rest
+	}
+	return recs, nil
+}
+
 // Journal is the daemon's write-ahead log of job lifecycle records: an
 // append-only file of CRC-framed JSON lines, fsync'd after every append,
 // rotated atomically (temp file + rename) when its completed records
@@ -124,13 +199,14 @@ func OpenJournal(fsys FS, path string) (*Journal, error) {
 	return &Journal{fs: fsys, path: path, f: f}, nil
 }
 
-// Append durably writes one record: marshal, CRC-frame, write one line,
-// fsync. An error means the record may not be on stable storage — the
-// server reacts by degrading to memory-only mode rather than crashing.
-func (j *Journal) Append(rec journalRecord) error {
-	line, err := frameRecord(rec)
-	if err != nil {
-		return err
+// Append durably writes framed records: one write of their lines, then
+// one fsync. An error means the records may not be on stable storage —
+// the server reacts by degrading to memory-only mode rather than
+// crashing.
+func (j *Journal) Append(frames ...frame) error {
+	var lines []byte
+	for _, f := range frames {
+		lines = f.appendTo(lines)
 	}
 
 	j.mu.Lock()
@@ -138,13 +214,13 @@ func (j *Journal) Append(rec journalRecord) error {
 	if j.f == nil {
 		return fmt.Errorf("service: journal is closed")
 	}
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.f.Write(lines); err != nil {
 		return fmt.Errorf("service: journal append: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("service: journal fsync: %w", err)
 	}
-	j.records++
+	j.records += uint64(len(frames))
 	return nil
 }
 
@@ -176,13 +252,13 @@ func (j *Journal) Rotate(live []journalRecord) error {
 	}
 	w := bufio.NewWriter(f)
 	for _, rec := range live {
-		line, err := frameRecord(rec)
+		fr, err := frameRecord(rec)
 		if err != nil {
 			f.Close()
 			j.fs.Remove(tmp)
 			return fmt.Errorf("service: journal rotate: %w", err)
 		}
-		if _, err := w.Write(line); err != nil {
+		if _, err := w.Write(fr.appendTo(nil)); err != nil {
 			f.Close()
 			j.fs.Remove(tmp)
 			return fmt.Errorf("service: journal rotate: %w", err)
@@ -233,7 +309,7 @@ func (j *Journal) Close() error {
 
 // replayedJob is the folded state of one job after reading the journal:
 // its latest lifecycle op plus the spec-bearing fields from whichever
-// records carried them.
+// records carried them, and the done record that settled it, if any.
 type replayedJob struct {
 	ID       string
 	Key      string
@@ -242,6 +318,7 @@ type replayedJob struct {
 	Op       journalOp
 	Error    string
 	Kind     string
+	Done     *journalRecord
 }
 
 // ReplayJournal reads the journal at path and folds its records into
@@ -333,6 +410,9 @@ func ReplayJournal(fsys FS, path string) (jobs []*replayedJob, torn, quarantined
 		}
 		if rec.Kind != "" {
 			j.Kind = rec.Kind
+		}
+		if rec.Op == opDone {
+			j.Done = &rec
 		}
 	}
 	if serr := sc.Err(); serr != nil {

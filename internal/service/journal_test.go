@@ -23,15 +23,21 @@ func testCell(t *testing.T, seed uint64) (harness.CellSpec, canonicalCell) {
 	return spec, encodeCell(spec)
 }
 
-// frameLine is the test-side framing helper: one CRC-framed journal
-// line, as the writer produces it.
-func frameLine(t *testing.T, rec journalRecord) []byte {
+// mustFrame is the test-side framing helper: rec encoded as the writer
+// encodes it.
+func mustFrame(t *testing.T, rec journalRecord) frame {
 	t.Helper()
-	line, err := frameRecord(rec)
+	f, err := frameRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return line
+	return f
+}
+
+// frameLine is one CRC-framed journal line, newline included.
+func frameLine(t *testing.T, rec journalRecord) []byte {
+	t.Helper()
+	return mustFrame(t, rec).appendTo(nil)
 }
 
 func TestJournalAppendReplay(t *testing.T) {
@@ -50,7 +56,7 @@ func TestJournalAppendReplay(t *testing.T) {
 		{Op: opFailed, ID: "job-000001", Key: "k2", Error: "boom", Kind: "panic"},
 	}
 	for _, r := range recs {
-		if err := j.Append(r); err != nil {
+		if err := j.Append(mustFrame(t, r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +259,7 @@ func TestJournalRotate(t *testing.T) {
 	defer j.Close()
 	_, cell := testCell(t, 1)
 	for i, op := range []journalOp{opSubmitted, opStarted, opDone} {
-		if err := j.Append(journalRecord{Op: op, ID: "job-000000", Key: "k1", Cell: &cell}); err != nil {
+		if err := j.Append(mustFrame(t, journalRecord{Op: op, ID: "job-000000", Key: "k1", Cell: &cell})); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -263,7 +269,7 @@ func TestJournalRotate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Appends after rotation land in the rotated file.
-	if err := j.Append(journalRecord{Op: opStarted, ID: "job-000007", Key: "k7"}); err != nil {
+	if err := j.Append(mustFrame(t, journalRecord{Op: opStarted, ID: "job-000007", Key: "k7"})); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -274,5 +280,43 @@ func TestJournalRotate(t *testing.T) {
 	}
 	if len(jobs) != 1 || jobs[0].ID != "job-000007" || jobs[0].Op != opStarted {
 		t.Fatalf("rotated journal replay wrong: %+v", jobs)
+	}
+}
+
+// TestDoneRecordCarriesEntry: a done record frames its cache entry with
+// the result spliced in verbatim — the line is exactly what json.Marshal
+// of the whole record would produce — parses back to the same bytes,
+// and a flipped result byte fails the CRC.
+func TestDoneRecordCarriesEntry(t *testing.T) {
+	_, cell := testCell(t, 1)
+	result := json.RawMessage(`{"workload":"kmeans","cycles":123}`)
+	e := &CacheEntry{Key: "k1", Workload: "kmeans", SimCycles: 123, Result: result,
+		Digest: ResultDigest(result), Cell: &cell}
+	rec := doneRecord("job-000000", e)
+	rec.Seq = 9
+
+	line := frameLine(t, rec)
+	rec.Schema = journalSchemaVersion
+	want, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := line[9 : len(line)-1]; !bytes.Equal(got, want) {
+		t.Fatalf("spliced payload differs from json.Marshal:\n got %s\nwant %s", got, want)
+	}
+
+	back, ok, stale := parseFrame(line[:len(line)-1])
+	if !ok || stale {
+		t.Fatalf("done frame does not parse: ok=%v stale=%v", ok, stale)
+	}
+	if !bytes.Equal(back.Result, result) || back.Digest != e.Digest || back.SimCycles != 123 ||
+		back.Workload != "kmeans" || back.Seq != 9 || back.Cell == nil || *back.Cell != cell {
+		t.Fatalf("done record did not round-trip: %+v", back)
+	}
+
+	flipped := bytes.Clone(line[:len(line)-1])
+	flipped[bytes.Index(flipped, []byte("123}"))] ^= 0x01
+	if _, ok, _ := parseFrame(flipped); ok {
+		t.Fatal("a flipped result byte passed the frame CRC")
 	}
 }

@@ -40,13 +40,12 @@ type Metrics struct {
 	snapshotQuarantines uint64 // corrupt snapshots renamed aside at startup
 
 	journalQuarantinedRecords uint64 // mid-file corrupt journal records quarantined during replay
-	snapshotEntryQuarantines  uint64 // snapshot entries quarantined by -verify-snapshot digest re-hashing
 
 	replFramesSent       uint64 // replication frames served to followers
 	replFramesApplied    uint64 // replication frames verified and applied (follower side)
-	replCorruptFrames    uint64 // frames/snapshots refused on CRC mismatch
+	replCorruptFrames    uint64 // stream/bootstrap batches refused on a frame CRC mismatch
 	replDigestMismatches uint64 // replicated entries refused on content-digest mismatch
-	replSnapshotsServed  uint64 // replication snapshot checkpoints served
+	replSnapshotsServed  uint64 // replication bootstrap batches served
 
 	auditPasses         uint64 // completed scrub passes
 	auditEntriesScanned uint64 // cache entries digest-checked by scrub passes
@@ -93,12 +92,6 @@ func (m *Metrics) incReplSnapshotsServed() { m.mu.Lock(); m.replSnapshotsServed+
 
 func (m *Metrics) addReplSent(n int)    { m.mu.Lock(); m.replFramesSent += uint64(n); m.mu.Unlock() }
 func (m *Metrics) addReplApplied(n int) { m.mu.Lock(); m.replFramesApplied += uint64(n); m.mu.Unlock() }
-
-func (m *Metrics) addSnapshotEntryQuarantines(n int) {
-	m.mu.Lock()
-	m.snapshotEntryQuarantines += uint64(n)
-	m.mu.Unlock()
-}
 
 func (m *Metrics) incAuditReexec()   { m.mu.Lock(); m.auditReexecutions++; m.mu.Unlock() }
 func (m *Metrics) incAuditMismatch() { m.mu.Lock(); m.auditMismatches++; m.mu.Unlock() }
@@ -199,8 +192,8 @@ func (m *Metrics) ReplDigestMismatches() uint64 {
 	return m.replDigestMismatches
 }
 
-// ReplCorruptFrames returns the count of replication frames or
-// snapshots refused on CRC mismatch.
+// ReplCorruptFrames returns the count of replication batches refused
+// on a frame CRC mismatch (or a bootstrap without its checkpoint).
 func (m *Metrics) ReplCorruptFrames() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -301,12 +294,10 @@ type MetricsSnapshot struct {
 	SnapshotWrites      uint64 `json:"snapshotWrites"`
 	SnapshotQuarantines uint64 `json:"snapshotQuarantines"`
 
-	// Integrity quarantines: individual journal records replaced by CRC
+	// Integrity quarantines: individual journal records set aside by CRC
 	// framing replay (not whole-file quarantines, which
-	// snapshotQuarantines counts) and snapshot entries dropped by
-	// -verify-snapshot digest re-hashing.
+	// snapshotQuarantines counts).
 	JournalQuarantinedRecords uint64 `json:"journalQuarantinedRecords"`
-	SnapshotEntryQuarantines  uint64 `json:"snapshotEntryQuarantines"`
 
 	// Replication plane. Role is "primary" or "follower";
 	// ReplicaLagRecords is the follower's unapplied-record gauge (0 on
@@ -398,7 +389,6 @@ func (m *Metrics) snapshot(queueDepth, running, admissionLimit int, cache *Cache
 		SnapshotQuarantines: m.snapshotQuarantines,
 
 		JournalQuarantinedRecords: m.journalQuarantinedRecords,
-		SnapshotEntryQuarantines:  m.snapshotEntryQuarantines,
 
 		Role:                 role,
 		ReplicaLagRecords:    replicaLag,

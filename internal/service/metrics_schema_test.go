@@ -43,7 +43,6 @@ var metricsGoldenFields = []string{
 	"recoveredTerminal",
 	"snapshotWrites",
 	"snapshotQuarantines",
-	"snapshotEntryQuarantines",
 	"degraded",
 	"role",
 	"replicaLagRecords",

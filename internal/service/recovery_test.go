@@ -216,6 +216,68 @@ func TestRecoveryAfterCleanShutdown(t *testing.T) {
 	}
 }
 
+// TestCrashServesDoneFromJournal: cells that finished after the last
+// snapshot are not re-run after a crash. Their done records carry the
+// results, replay settles them into the cache, and the boot writes them
+// to the snapshot before compacting the journal, so a second crash
+// keeps them too.
+func TestCrashServesDoneFromJournal(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		Workers:      2,
+		SnapshotPath: filepath.Join(dir, "cache.json"),
+		JournalPath:  filepath.Join(dir, "journal.wal"),
+	}
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string][]byte)
+	var ids []string
+	for seed := uint64(1); seed <= 3; seed++ {
+		job, err := first.Submit(harness.CellSpec{
+			Workload: "kmeans", Detection: asfsim.DetectSubBlock4, Scale: workloads.ScaleTiny, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := waitTerminalDirect(t, first, job.ID)
+		if v.State != JobDone {
+			t.Fatalf("seed %d ended %s (%s)", seed, v.State, v.Error)
+		}
+		want[v.ID] = v.Result
+		ids = append(ids, v.ID)
+	}
+	first.Kill() // no snapshot was ever written
+
+	second, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := second.Recovery(); rec.FromCache != len(ids) || rec.Reenqueued != 0 {
+		t.Fatalf("recovery = %+v, want all %d jobs settled from the journal", rec, len(ids))
+	}
+	for _, id := range ids {
+		v := waitTerminalDirect(t, second, id)
+		if v.State != JobDone || !bytes.Equal(v.Result, want[id]) {
+			t.Fatalf("job %s after restart: state %s, result identical %v", id, v.State, bytes.Equal(v.Result, want[id]))
+		}
+	}
+	if n := second.Metrics().SimCyclesExecuted(); n != 0 {
+		t.Fatalf("restart re-simulated %d cycles of finished cells", n)
+	}
+	second.Kill()
+
+	third, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer third.Kill()
+	if n := third.Cache().Len(); n != len(ids) {
+		t.Fatalf("after a second crash the cache holds %d entries, want %d", n, len(ids))
+	}
+}
+
 // TestJournalingDisabledMatchesPR3Behavior: with no JournalPath the
 // daemon takes the exact pre-journal code paths — no journal file, no
 // recovery stats, no journal records counted — and still serves cells.

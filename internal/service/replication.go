@@ -1,10 +1,9 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -13,23 +12,27 @@ import (
 
 // Warm-standby replication.
 //
-// A primary asfd appends every job lifecycle record to an in-memory
+// A primary appends every job lifecycle record to an in-memory
 // replication log (independent of the disk journal, which rotates) and
 // serves it to followers over HTTP:
 //
 //	GET  /v1/replication/stream?from=N    long-poll a frame batch
-//	GET  /v1/replication/snapshot         full checkpoint (cache + live jobs)
+//	GET  /v1/replication/snapshot         bootstrap batch (cache + live jobs)
 //	POST /v1/replication/promote          follower -> serving primary
 //
-// Every frame carries a CRC32 of its own encoding and, on done records,
-// the full cache entry with its SHA-256 result digest; the follower
-// verifies both before applying anything, so a corrupted stream (lying
-// disk, torn proxy, flipped bit) is detected and refused, never served.
-// A follower applies frames into its own journal and cache — a warm
-// standby executes nothing — and on promotion serves every settled key
-// from the replicated cache (zero duplicate simulated cycles), sheds
-// re-enqueued jobs whose propagated deadline has passed, and re-enqueues
-// the rest into a freshly started worker pool.
+// Both GETs answer with the journal's own CRC-framed lines, so
+// parseFrame is the only decoder on either side. A record is framed once,
+// stamped with its replication sequence, and that one frame goes to the
+// disk journal and the replication log; done records carry the settled
+// cache entry, with the result bytes shared with the cache rather than
+// copied. The follower checks every frame's CRC before applying any, and
+// each done record's content digest as it settles the entry, so a
+// corrupted stream (lying disk, torn proxy, flipped bit) is refused,
+// never served. A follower applies frames into its own journal and cache
+// — a warm standby executes nothing — and on promotion serves every
+// settled key from the replicated cache (zero duplicate simulated
+// cycles), sheds re-enqueued jobs whose propagated deadline has passed,
+// and re-enqueues the rest into a freshly started worker pool.
 
 // Sentinel errors for replication roles.
 var (
@@ -42,97 +45,62 @@ var (
 	// daemon that is not (or no longer) a follower.
 	ErrNotFollowing = errors.New("service: not following a primary")
 
-	// ErrReplCorrupt reports a replication frame or snapshot that failed
-	// its CRC or content-digest verification: the data is refused.
+	// ErrReplCorrupt reports a replication batch that failed its CRC or
+	// content-digest verification: the data is refused.
 	ErrReplCorrupt = errors.New("service: replication data failed integrity verification")
 
 	// ErrReplGap reports a stream discontinuity: the follower's next
 	// expected sequence number is no longer in the primary's log, so it
-	// must re-sync from a snapshot checkpoint.
+	// must re-sync from a bootstrap batch.
 	ErrReplGap = errors.New("service: replication stream gap, snapshot re-sync required")
 )
 
-// ReplFrame is one replicated journal record: the record itself, the
-// full cache entry when the record settles a key (op "done"), a monotone
-// per-primary sequence number, and a CRC32 (IEEE) of the frame's JSON
-// encoding with CRC zeroed. The CRC covers everything — sequence,
-// record, entry bytes — so any single flipped bit in transit or at rest
-// fails verification.
-type ReplFrame struct {
-	Seq    uint64        `json:"seq"`
-	Record journalRecord `json:"record"`
-	Entry  *CacheEntry   `json:"entry,omitempty"`
-	CRC    uint32        `json:"crc"`
-}
+// replNextHeader carries the primary log head (the next sequence it will
+// assign) on every stream response, for the follower's lag bookkeeping.
+const replNextHeader = "X-ASF-Repl-Next"
 
-// computeCRC returns the frame's CRC32: the checksum of its JSON
-// encoding with the CRC field zeroed. Both sides marshal the same
-// struct, so the encoding — and therefore the checksum — is identical.
-func (f ReplFrame) computeCRC() uint32 {
-	f.CRC = 0
-	b, err := json.Marshal(f)
-	if err != nil {
-		return 0
-	}
-	return crc32.ChecksumIEEE(b)
-}
-
-// verify reports whether the frame's recorded CRC matches its contents.
-func (f ReplFrame) verify() bool { return f.CRC != 0 && f.CRC == f.computeCRC() }
-
-// ReplBatch is the GET /v1/replication/stream response: zero or more
-// consecutive frames starting at the requested sequence, plus the
-// primary log's current bounds. SnapshotNeeded is set when the requested
-// sequence has been trimmed from the log — the follower must re-sync
-// from GET /v1/replication/snapshot before streaming again.
+// ReplBatch is one replication response as a follower received it.
 type ReplBatch struct {
-	Frames         []ReplFrame `json:"frames"`
-	FirstSeq       uint64      `json:"firstSeq"`
-	NextSeq        uint64      `json:"nextSeq"`
-	SnapshotNeeded bool        `json:"snapshotNeeded,omitempty"`
+	// Frames holds the CRC-framed journal lines, verified only when the
+	// batch is applied.
+	Frames []byte
+	// NextSeq is the primary's log head when it answered.
+	NextSeq uint64
+	// SnapshotNeeded is set when the requested sequence has been trimmed
+	// from the primary's log (HTTP 410): bootstrap before streaming again.
+	SnapshotNeeded bool
 }
 
-// ReplJob is one live (not yet terminal) job inside a replication
-// snapshot: enough for a promoted follower to re-enqueue it.
-type ReplJob struct {
-	ID       string         `json:"id"`
-	Key      string         `json:"key"`
-	Cell     *canonicalCell `json:"cell"`
-	Deadline string         `json:"deadline,omitempty"`
-}
-
-// ReplSnapshot is the GET /v1/replication/snapshot document: a full
-// checkpoint of the primary's cache and live job set, stamped with the
-// sequence number to resume streaming from. Seq is captured before the
-// entries are gathered, so a record landing mid-snapshot is both in the
-// snapshot and re-streamed — applying it twice is idempotent.
-type ReplSnapshot struct {
-	Seq     uint64       `json:"seq"`
-	Entries []CacheEntry `json:"entries"`
-	Jobs    []ReplJob    `json:"jobs"`
-	CRC     uint32       `json:"crc"`
-}
-
-func (sn ReplSnapshot) computeCRC() uint32 {
-	sn.CRC = 0
-	b, err := json.Marshal(sn)
-	if err != nil {
-		return 0
+// ReadReplBatch reads a stream or bootstrap response into a ReplBatch
+// and closes its body. Any status other than 200 and 410 is an error.
+func ReadReplBatch(resp *http.Response) (ReplBatch, error) {
+	defer resp.Body.Close()
+	var b ReplBatch
+	if v := resp.Header.Get(replNextHeader); v != "" {
+		b.NextSeq, _ = strconv.ParseUint(v, 10, 64)
 	}
-	return crc32.ChecksumIEEE(b)
+	switch resp.StatusCode {
+	case http.StatusGone:
+		b.SnapshotNeeded = true
+		return b, nil
+	case http.StatusOK:
+	default:
+		return b, fmt.Errorf("service: replication response %s", resp.Status)
+	}
+	var err error
+	b.Frames, err = io.ReadAll(resp.Body)
+	return b, err
 }
-
-func (sn ReplSnapshot) verify() bool { return sn.CRC != 0 && sn.CRC == sn.computeCRC() }
 
 // replLog is the primary's bounded in-memory replication log: a window
-// of CRC-stamped frames with monotone sequence numbers (starting at 1),
-// trimmed from the front at capacity. Followers that fall behind the
-// window re-sync from a snapshot. The log has its own lock and is safe
-// to append to while holding the server mutex.
+// of frames with monotone sequence numbers (starting at 1), trimmed from
+// the front at capacity. Followers that fall behind the window re-sync
+// from a bootstrap batch. The log has its own lock and is safe to append
+// to while holding the server mutex.
 type replLog struct {
 	mu     sync.Mutex
 	cap    int
-	frames []ReplFrame
+	frames []frame
 	first  uint64        // seq of frames[0]
 	next   uint64        // next seq to assign
 	notify chan struct{} // closed and replaced on every append (long-poll wakeup)
@@ -145,13 +113,17 @@ func newReplLog(capacity int) *replLog {
 	return &replLog{cap: capacity, first: 1, next: 1, notify: make(chan struct{})}
 }
 
-// append stamps, checksums and stores one frame, waking any long-polling
-// stream handlers.
-func (l *replLog) append(rec journalRecord, entry *CacheEntry) {
-	rec.Schema = journalSchemaVersion
+// append stamps rec with the next sequence number, frames it, and stores
+// the frame, waking any long-polling stream handlers. The caller writes
+// the same frame to the disk journal.
+func (l *replLog) append(rec journalRecord) (frame, error) {
 	l.mu.Lock()
-	f := ReplFrame{Seq: l.next, Record: rec, Entry: entry}
-	f.CRC = f.computeCRC()
+	rec.Seq = l.next
+	f, err := frameRecord(rec)
+	if err != nil {
+		l.mu.Unlock()
+		return f, err
+	}
 	l.frames = append(l.frames, f)
 	l.next++
 	if drop := len(l.frames) - l.cap; drop > 0 {
@@ -162,13 +134,14 @@ func (l *replLog) append(rec journalRecord, entry *CacheEntry) {
 	l.notify = make(chan struct{})
 	l.mu.Unlock()
 	close(ch)
+	return f, nil
 }
 
 // fetch copies up to max frames starting at seq from, plus the log
 // bounds and the channel that closes on the next append (for long-poll
 // waits). An empty result with from < first means the window has moved
-// past the caller: snapshot re-sync required.
-func (l *replLog) fetch(from uint64, max int) (frames []ReplFrame, first, next uint64, notify <-chan struct{}) {
+// past the caller: bootstrap required.
+func (l *replLog) fetch(from uint64, max int) (frames []frame, first, next uint64, notify <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	first, next, notify = l.first, l.next, l.notify
@@ -180,7 +153,7 @@ func (l *replLog) fetch(from uint64, max int) (frames []ReplFrame, first, next u
 	if j-i > max {
 		j = i + max
 	}
-	frames = append([]ReplFrame(nil), l.frames[i:j]...)
+	frames = append([]frame(nil), l.frames[i:j]...)
 	return frames, first, next, notify
 }
 
@@ -193,8 +166,10 @@ func (l *replLog) verifyAll() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	bad := 0
-	for i := range l.frames {
-		if !l.frames[i].verify() {
+	var line []byte
+	for _, f := range l.frames {
+		line = f.appendTo(line[:0])
+		if _, ok, _ := parseFrame(line[:len(line)-1]); !ok {
 			bad++
 		}
 	}
@@ -206,15 +181,6 @@ func (l *replLog) nextSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.next
-}
-
-// replicate appends one lifecycle record to the replication log. Called
-// at every journal site (and on sites where disk journaling is off or
-// degraded — replication is an independent durability plane).
-func (s *Server) replicate(rec journalRecord, entry *CacheEntry) {
-	if s.repl != nil {
-		s.repl.append(rec, entry)
-	}
 }
 
 // Following reports whether the daemon is a warm standby.
@@ -248,97 +214,125 @@ func (s *Server) replicationLagLocked() int64 {
 	return int64(s.replPrimaryNext - s.replNextApply)
 }
 
-// ReplicationSnapshot assembles the checkpoint a follower boots from:
-// every cache entry (with its content digest) plus every live job. The
-// resume sequence is captured first so no record can fall between the
-// snapshot and the stream.
-func (s *Server) ReplicationSnapshot() *ReplSnapshot {
-	snap := &ReplSnapshot{Seq: s.repl.nextSeq()}
+// bootstrapBatch assembles the GET /v1/replication/snapshot body: a done
+// frame for every cache entry in LRU order, a submitted frame for every
+// live job, and a closing checkpoint frame whose Seq is the stream
+// sequence to resume from. The resume sequence is read first, so a
+// record landing meanwhile is both in the batch and re-streamed —
+// applying it twice is idempotent.
+func (s *Server) bootstrapBatch() (body []byte, entries, jobs int, err error) {
+	resume := s.repl.nextSeq()
+	var recs []journalRecord
+	for _, e := range s.cache.Entries() {
+		recs = append(recs, doneRecord("", &e))
+	}
+	entries = len(recs)
 	s.mu.Lock()
 	for _, id := range s.order {
-		job, ok := s.jobs[id]
-		if !ok || job.State.terminal() {
-			continue
+		if job, ok := s.jobs[id]; ok && !job.State.terminal() {
+			recs = append(recs, submittedRecord(job))
 		}
-		cell := encodeCell(job.Spec)
-		rj := ReplJob{ID: job.ID, Key: job.Key, Cell: &cell}
-		if !job.Deadline.IsZero() {
-			rj.Deadline = job.Deadline.Format(time.RFC3339Nano)
-		}
-		snap.Jobs = append(snap.Jobs, rj)
 	}
 	s.mu.Unlock()
-	snap.Entries = s.cache.Entries()
-	snap.CRC = snap.computeCRC()
-	return snap
+	jobs = len(recs) - entries
+	recs = append(recs, journalRecord{Op: opCheckpoint, Seq: resume})
+	for _, rec := range recs {
+		f, ferr := frameRecord(rec)
+		if ferr != nil {
+			return nil, 0, 0, ferr
+		}
+		body = f.appendTo(body)
+	}
+	return body, entries, jobs, nil
 }
 
-// ApplyReplicatedSnapshot verifies and applies a primary checkpoint on a
-// follower: CRC first, then every entry's content digest — an entry
-// whose result bytes do not hash to its recorded digest is counted and
-// dropped (never enters the cache), and the snapshot as a whole is
-// refused with ErrReplCorrupt so the follower re-fetches. Live jobs are
-// registered as pending (the standby executes nothing). Returns the
-// number of cache entries applied.
-func (s *Server) ApplyReplicatedSnapshot(snap *ReplSnapshot) (int, error) {
-	if !snap.verify() {
+// settle stores a done record's cache entry, provided its result bytes
+// hash to its recorded digest, and returns the entry the cache holds
+// for the key (the first stored bytes win). Journal replay, the
+// follower's stream apply and its bootstrap all settle done records
+// here. ok is false, and nothing is stored, on a digest mismatch.
+func (s *Server) settle(rec journalRecord) (*CacheEntry, bool) {
+	if rec.Digest == "" || ResultDigest(rec.Result) != rec.Digest {
+		return nil, false
+	}
+	e := &CacheEntry{Key: rec.Key, Workload: rec.Workload, SimCycles: rec.SimCycles,
+		Result: rec.Result, Digest: rec.Digest, Cell: rec.Cell}
+	s.cache.Put(e)
+	if stored, ok := s.cache.peek(rec.Key); ok {
+		return stored, true
+	}
+	// The key held corrupt bytes, which the read dropped (or e was
+	// evicted at once): store the verified entry.
+	s.cache.Put(e)
+	return e, true
+}
+
+// ApplyReplicatedBootstrap verifies and applies a bootstrap batch on a
+// follower: every frame's CRC first, then each done record's digest as
+// its entry is settled. A corrupt frame, a digest mismatch or a missing
+// closing checkpoint refuses the batch with ErrReplCorrupt and leaves
+// the stream cursor where it was (verified entries already settled stay
+// cached). Live jobs are registered as pending — the standby executes
+// nothing. Returns the number of cache entries applied.
+func (s *Server) ApplyReplicatedBootstrap(body []byte) (int, error) {
+	recs, err := decodeFrames(body)
+	if err == nil && (len(recs) == 0 || recs[len(recs)-1].Op != opCheckpoint) {
+		err = fmt.Errorf("%w: bootstrap batch has no closing checkpoint", ErrReplCorrupt)
+	}
+	if err != nil {
 		s.metrics.incReplCorrupt()
-		return 0, fmt.Errorf("%w: snapshot CRC mismatch", ErrReplCorrupt)
+		return 0, err
 	}
-	for i := range snap.Entries {
-		e := &snap.Entries[i]
-		if e.Digest == "" || ResultDigest(e.Result) != e.Digest {
-			s.metrics.incReplDigestMismatch()
-			return 0, fmt.Errorf("%w: snapshot entry %s digest mismatch", ErrReplCorrupt, e.Key)
-		}
-	}
+	resume := recs[len(recs)-1].Seq
 
 	s.mu.Lock()
 	if !s.following {
 		s.mu.Unlock()
 		return 0, ErrNotFollowing
 	}
-	for _, rj := range snap.Jobs {
-		s.applyPendingJobLocked(rj)
+	applied := 0
+	for _, rec := range recs[:len(recs)-1] {
+		switch rec.Op {
+		case opDone:
+			if _, ok := s.settle(rec); !ok {
+				s.mu.Unlock()
+				s.metrics.incReplDigestMismatch()
+				return applied, fmt.Errorf("%w: bootstrap entry %s digest mismatch", ErrReplCorrupt, rec.Key)
+			}
+			applied++
+		case opSubmitted:
+			s.applyPendingJobLocked(rec)
+		}
 	}
-	if snap.Seq > s.replNextApply {
-		s.replNextApply = snap.Seq
+	if resume > s.replNextApply {
+		s.replNextApply = resume
 	}
-	if snap.Seq > s.replPrimaryNext {
-		s.replPrimaryNext = snap.Seq
+	if resume > s.replPrimaryNext {
+		s.replPrimaryNext = resume
 	}
 	s.mu.Unlock()
 
-	applied := 0
-	for i := range snap.Entries {
-		e := snap.Entries[i]
-		s.cache.Put(&e)
-		applied++
-	}
 	// Quarantined keys the scrubber marked repair-pending may just have
-	// been restored by this verified snapshot.
+	// been restored by this verified batch.
 	s.auditSettleRepairs()
 	return applied, nil
 }
 
-// applyPendingJobLocked registers one replicated live job as pending
-// (queued, never enqueued — the follower has no workers). Idempotent on
-// re-sync. Caller holds s.mu.
-func (s *Server) applyPendingJobLocked(rj ReplJob) {
-	s.bumpIDLocked(rj.ID)
-	if _, ok := s.jobs[rj.ID]; ok {
+// applyPendingJobLocked registers one replicated live job, from its
+// submitted record, as pending (queued, never enqueued — the follower
+// has no workers). Idempotent on re-sync. Caller holds s.mu.
+func (s *Server) applyPendingJobLocked(rec journalRecord) {
+	s.bumpIDLocked(rec.ID)
+	if _, ok := s.jobs[rec.ID]; ok || rec.ID == "" || rec.Cell == nil {
 		return
 	}
-	if rj.Cell == nil {
-		return
-	}
-	spec, err := rj.Cell.spec()
+	spec, err := rec.Cell.spec()
 	if err != nil {
 		return // replicated under an enum this build no longer knows
 	}
 	job := &Job{
-		ID:    rj.ID,
-		Key:   rj.Key,
+		ID:    rec.ID,
+		Key:   rec.Key,
 		Spec:  spec.Normalize(),
 		State: JobQueued,
 		Done:  make(chan struct{}),
@@ -346,8 +340,8 @@ func (s *Server) applyPendingJobLocked(rj ReplJob) {
 	if job.Key == "" {
 		job.Key = Key(spec)
 	}
-	if rj.Deadline != "" {
-		if dl, perr := time.Parse(time.RFC3339Nano, rj.Deadline); perr == nil {
+	if rec.Deadline != "" {
+		if dl, perr := time.Parse(time.RFC3339Nano, rec.Deadline); perr == nil {
 			job.Deadline = dl
 		}
 	}
@@ -364,28 +358,24 @@ func (s *Server) bumpIDLocked(id string) {
 }
 
 // ApplyReplicatedBatch verifies and applies one stream batch on a
-// follower. Every frame's CRC is checked (a mismatch refuses the whole
-// batch — the follower re-requests from the same sequence), done-record
-// entries have their content digests re-hashed, frames already applied
-// are skipped idempotently, and a sequence gap demands a snapshot
-// re-sync. Applied records are folded into the follower's job table and
-// cache and appended to its own journal and replication log, so the
-// standby's durable state is promotion-ready at every instant.
+// follower. Every frame's CRC is checked before anything is applied (a
+// mismatch refuses the whole batch — the follower re-requests from the
+// same sequence); frames already applied are skipped idempotently; a
+// sequence gap demands a bootstrap; a done record whose digest does not
+// match stops the batch at that frame. Applied records are folded into
+// the follower's job table and cache and recorded in its own journal and
+// replication log, so the standby's durable state is promotion-ready at
+// every instant.
 func (s *Server) ApplyReplicatedBatch(batch ReplBatch) (int, error) {
 	start := time.Now()
 	if batch.SnapshotNeeded {
 		s.noteReplPrimaryNext(batch.NextSeq)
 		return 0, ErrReplGap
 	}
-	for _, f := range batch.Frames {
-		if !f.verify() {
-			s.metrics.incReplCorrupt()
-			return 0, fmt.Errorf("%w: frame %d CRC mismatch", ErrReplCorrupt, f.Seq)
-		}
-		if f.Entry != nil && (f.Entry.Digest == "" || ResultDigest(f.Entry.Result) != f.Entry.Digest) {
-			s.metrics.incReplDigestMismatch()
-			return 0, fmt.Errorf("%w: frame %d entry digest mismatch", ErrReplCorrupt, f.Seq)
-		}
+	recs, err := decodeFrames(batch.Frames)
+	if err != nil {
+		s.metrics.incReplCorrupt()
+		return 0, err
 	}
 
 	s.mu.Lock()
@@ -393,22 +383,30 @@ func (s *Server) ApplyReplicatedBatch(batch ReplBatch) (int, error) {
 		s.mu.Unlock()
 		return 0, ErrNotFollowing
 	}
-	applied := 0
-	for i := range batch.Frames {
-		f := batch.Frames[i]
-		if f.Seq < s.replNextApply {
-			continue // already applied (snapshot overlap or batch replay)
+	var local []journalRecord
+	for _, rec := range recs {
+		if rec.Seq < s.replNextApply {
+			continue // already applied (bootstrap overlap or batch replay)
 		}
-		if f.Seq > s.replNextApply {
-			s.mu.Unlock()
-			s.metrics.addReplApplied(applied)
-			return applied, fmt.Errorf("%w: have %d, got %d", ErrReplGap, s.replNextApply, f.Seq)
+		if rec.Seq > s.replNextApply {
+			err = fmt.Errorf("%w: have %d, got %d", ErrReplGap, s.replNextApply, rec.Seq)
+			break
 		}
-		s.applyFrameLocked(f)
-		s.replNextApply = f.Seq + 1
-		applied++
+		own, ok := s.applyRecordLocked(rec)
+		if !ok {
+			s.metrics.incReplDigestMismatch()
+			err = fmt.Errorf("%w: frame %d entry digest mismatch", ErrReplCorrupt, rec.Seq)
+			break
+		}
+		local = append(local, own)
+		s.replNextApply = rec.Seq + 1
 	}
-	if batch.NextSeq > s.replPrimaryNext {
+	// Durability and chainability, one journal write for the batch: the
+	// follower's own journal survives its crashes, and its own
+	// replication log lets another standby follow it after promotion.
+	s.recordLocked("", local...)
+	applied := len(local)
+	if err == nil && batch.NextSeq > s.replPrimaryNext {
 		s.replPrimaryNext = batch.NextSeq
 	}
 	lag := s.replicationLagLocked()
@@ -421,7 +419,7 @@ func (s *Server) ApplyReplicatedBatch(batch ReplBatch) (int, error) {
 			"frames", strconv.Itoa(applied), "lag", strconv.FormatInt(lag, 10))
 		s.auditSettleRepairs()
 	}
-	return applied, nil
+	return applied, err
 }
 
 // noteReplPrimaryNext records the primary's log head (lag bookkeeping)
@@ -434,46 +432,39 @@ func (s *Server) noteReplPrimaryNext(next uint64) {
 	s.mu.Unlock()
 }
 
-// applyFrameLocked folds one verified frame into the follower's state:
-// job table, cache (via the entry riding done records), local journal,
-// and the follower's own replication log (so a promoted follower can
-// itself be followed). Caller holds s.mu.
-func (s *Server) applyFrameLocked(f ReplFrame) {
-	rec := f.Record
+// applyRecordLocked folds one verified record into the follower's state
+// — job table, and cache via settle for done records — and returns the
+// record as the follower records it. It reports false, applying
+// nothing, when a done record's digest does not match. Caller holds
+// s.mu; the cache has its own lock and never takes the server's.
+func (s *Server) applyRecordLocked(rec journalRecord) (journalRecord, bool) {
 	s.bumpIDLocked(rec.ID)
-
-	if f.Entry != nil {
-		// Safe under s.mu: the cache has its own lock and never takes the
-		// server's.
-		e := *f.Entry
-		s.cache.Put(&e)
-	}
-
 	job, known := s.jobs[rec.ID]
 	switch rec.Op {
 	case opSubmitted:
-		if !known {
-			rj := ReplJob{ID: rec.ID, Key: rec.Key, Cell: rec.Cell, Deadline: rec.Deadline}
-			s.applyPendingJobLocked(rj)
-		}
+		s.applyPendingJobLocked(rec)
 	case opStarted:
 		// The primary started executing; the standby keeps the job
 		// pending — if the primary dies before the done record arrives,
 		// promotion re-enqueues it.
 	case opDone:
-		if !known && rec.Cell != nil {
+		e, ok := s.settle(rec)
+		if !ok {
+			return rec, false
+		}
+		// Re-record with the cache's bytes, so the follower's log shares
+		// them too.
+		rec = doneRecord(rec.ID, e)
+		if !known {
 			// Combined accept+done record (cache-hit submission): register
 			// it terminal directly.
-			rj := ReplJob{ID: rec.ID, Key: rec.Key, Cell: rec.Cell}
-			s.applyPendingJobLocked(rj)
+			s.applyPendingJobLocked(rec)
 			job, known = s.jobs[rec.ID]
 		}
 		if known && !job.State.terminal() {
 			job.State = JobDone
 			job.CacheHit = true
-			if e, ok := s.cache.peek(job.Key); ok {
-				job.Result = e.Result
-			}
+			job.Result = e.Result
 			job.closeDone()
 		}
 	case opFailed, opCanceled:
@@ -488,12 +479,7 @@ func (s *Server) applyFrameLocked(f ReplFrame) {
 			job.closeDone()
 		}
 	}
-
-	// Durability and chainability: the follower's own journal survives
-	// its crashes, and its own replication log lets another standby
-	// follow it after promotion.
-	s.appendLocked(rec)
-	s.repl.append(rec, f.Entry)
+	return rec, true
 }
 
 // PromoteStats summarizes a promotion: how the replicated pending set
@@ -543,13 +529,12 @@ func (s *Server) Promote() (PromoteStats, error) {
 
 	now := time.Now()
 	for _, job := range pending {
-		if e, ok := s.peekVerified(job.Key); ok {
+		if e, ok := s.cache.peek(job.Key); ok {
 			job.State = JobDone
 			job.CacheHit = true
 			job.Result = e.Result
 			job.closeDone()
-			s.appendLockedTimed(job.TraceID, journalRecord{Op: opDone, ID: job.ID, Key: job.Key})
-			s.repl.append(journalRecord{Op: opDone, ID: job.ID, Key: job.Key}, e)
+			s.recordLocked(job.TraceID, doneRecord(job.ID, e))
 			s.metrics.incCompleted()
 			st.FromCache++
 			continue
@@ -558,9 +543,7 @@ func (s *Server) Promote() (PromoteStats, error) {
 			job.State = JobCanceled
 			job.Err = "deadline expired before promotion"
 			job.closeDone()
-			rec := journalRecord{Op: opCanceled, ID: job.ID, Key: job.Key, Error: job.Err}
-			s.appendLockedTimed(job.TraceID, rec)
-			s.repl.append(rec, nil)
+			s.recordLocked(job.TraceID, journalRecord{Op: opCanceled, ID: job.ID, Key: job.Key, Error: job.Err})
 			s.metrics.incShedExpired()
 			s.metrics.incCanceled()
 			st.Shed++
@@ -586,15 +569,6 @@ func (s *Server) Promote() (PromoteStats, error) {
 	s.logger.Info("promoted to primary",
 		"fromCache", st.FromCache, "reenqueued", st.Reenqueued, "shed", st.Shed)
 	return st, nil
-}
-
-// writeRawJSON is writeJSON without indentation: replication payloads
-// embed raw result bytes whose digests must survive the round trip, and
-// re-indenting would rewrite them.
-func writeRawJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }
 
 // handleReplStream serves GET /v1/replication/stream: a frame batch
@@ -640,18 +614,23 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	deadline := time.Now().Add(wait)
 	for {
 		frames, first, next, notify := s.repl.fetch(from, max)
+		w.Header().Set(replNextHeader, strconv.FormatUint(next, 10))
 		if from < first {
-			writeRawJSON(w, http.StatusOK, ReplBatch{Frames: []ReplFrame{}, FirstSeq: first, NextSeq: next, SnapshotNeeded: true})
+			writeError(w, http.StatusGone, fmt.Sprintf("sequence %d trimmed from the replication log (first %d): bootstrap from /v1/replication/snapshot", from, first))
 			return
 		}
 		if len(frames) > 0 || wait <= 0 || !time.Now().Before(deadline) {
 			s.metrics.addReplSent(len(frames))
+			var body []byte
+			for _, f := range frames {
+				body = f.appendTo(body)
+			}
 			if len(frames) > 0 {
 				d := time.Since(start)
 				s.span(serverTrace, "replicate.send", start, d,
 					"from", strconv.FormatUint(from, 10), "frames", strconv.Itoa(len(frames)))
 			}
-			writeRawJSON(w, http.StatusOK, ReplBatch{Frames: frames, FirstSeq: first, NextSeq: next})
+			writeFrames(w, body)
 			return
 		}
 		timer := time.NewTimer(time.Until(deadline))
@@ -669,12 +648,24 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 // handleReplSnapshot serves GET /v1/replication/snapshot.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	snap := s.ReplicationSnapshot()
+	body, entries, jobs, err := s.bootstrapBatch()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	s.metrics.incReplSnapshotsServed()
 	d := time.Since(start)
 	s.span(serverTrace, "replicate.send", start, d,
-		"snapshot", "true", "entries", strconv.Itoa(len(snap.Entries)), "jobs", strconv.Itoa(len(snap.Jobs)))
-	writeRawJSON(w, http.StatusOK, snap)
+		"snapshot", "true", "entries", strconv.Itoa(entries), "jobs", strconv.Itoa(jobs))
+	writeFrames(w, body)
+}
+
+// writeFrames writes a batch of frame lines as a 200 response.
+func writeFrames(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // handlePromote serves POST /v1/replication/promote.

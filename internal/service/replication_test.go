@@ -19,17 +19,12 @@ import (
 // endpoint, the way a follower's sync loop does.
 func fetchBatch(t *testing.T, ts *httptest.Server, from uint64, extra string) ReplBatch {
 	t.Helper()
-	url := ts.URL + "/v1/replication/stream?from=" + uitoa(from) + extra
-	resp, err := http.Get(url)
+	resp, err := http.Get(ts.URL + "/v1/replication/stream?from=" + uitoa(from) + extra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream: status %d", resp.StatusCode)
-	}
-	var batch ReplBatch
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
+	batch, err := ReadReplBatch(resp)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return batch
@@ -40,18 +35,57 @@ func uitoa(n uint64) string {
 	return string(b)
 }
 
-func fetchSnapshot(t *testing.T, ts *httptest.Server) *ReplSnapshot {
+// fetchSnapshot pulls the primary's bootstrap batch.
+func fetchSnapshot(t *testing.T, ts *httptest.Server) []byte {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/replication/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var snap ReplSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	batch, err := ReadReplBatch(resp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &snap
+	return batch.Frames
+}
+
+// decodeBatch decodes frame lines that must all verify.
+func decodeBatch(t *testing.T, body []byte) []journalRecord {
+	t.Helper()
+	recs, err := decodeFrames(body)
+	if err != nil {
+		t.Fatalf("batch failed verification after HTTP round trip: %v", err)
+	}
+	return recs
+}
+
+// encodeBatch frames recs back into a batch body, as a lying proxy that
+// re-frames what it tampered with would.
+func encodeBatch(t *testing.T, recs []journalRecord) []byte {
+	t.Helper()
+	var body []byte
+	for _, rec := range recs {
+		body = mustFrame(t, rec).appendTo(body)
+	}
+	return body
+}
+
+// withFlippedResult returns a copy of recs whose first done record has
+// one result byte flipped (its digest left as recorded), and that
+// record's index.
+func withFlippedResult(t *testing.T, recs []journalRecord) ([]journalRecord, int) {
+	t.Helper()
+	out := append([]journalRecord(nil), recs...)
+	for i, rec := range out {
+		if rec.Op == opDone && len(rec.Result) > 0 {
+			res := bytes.Clone(rec.Result)
+			res[len(res)/2] ^= 0x01
+			out[i].Result = res
+			return out, i
+		}
+	}
+	t.Fatal("no done record carries a result")
+	return nil, 0
 }
 
 // TestReplicationStreamAndApply is the warm-standby happy path, run
@@ -74,11 +108,7 @@ func TestReplicationStreamAndApply(t *testing.T) {
 	if len(batch.Frames) == 0 || batch.SnapshotNeeded {
 		t.Fatalf("expected frames, got %+v", batch)
 	}
-	for _, f := range batch.Frames {
-		if !f.verify() {
-			t.Fatalf("frame %d failed CRC after HTTP round trip", f.Seq)
-		}
-	}
+	recs := decodeBatch(t, batch.Frames)
 
 	follower, followerTS := newTestServer(t, Config{Workers: 2, Following: true})
 	if !follower.Following() {
@@ -88,8 +118,8 @@ func TestReplicationStreamAndApply(t *testing.T) {
 	if err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	if applied != len(batch.Frames) {
-		t.Fatalf("applied %d of %d frames", applied, len(batch.Frames))
+	if applied != len(recs) {
+		t.Fatalf("applied %d of %d frames", applied, len(recs))
 	}
 	if lag := follower.ReplicationLag(); lag != 0 {
 		t.Fatalf("lag after full apply = %d, want 0", lag)
@@ -127,9 +157,37 @@ func TestReplicationStreamAndApply(t *testing.T) {
 	}
 }
 
+// TestReplicationLogSharesResultBytes: the replication log holds no
+// second copy of a settled result — the done frame's result bytes are
+// the cache entry's own.
+func TestReplicationLogSharesResultBytes(t *testing.T) {
+	primary, primaryTS := newTestServer(t, Config{Workers: 1})
+	_, sr := postJob(t, primaryTS, `{"workload":"kmeans","detection":"subblock-4","scale":"tiny"}`)
+	waitDone(t, primaryTS, sr.Jobs[0].ID)
+	e, ok := primary.cache.peek(sr.Jobs[0].Key)
+	if !ok {
+		t.Fatal("result not cached")
+	}
+	frames, _, _, _ := primary.repl.fetch(1, 100)
+	shared := 0
+	for _, f := range frames {
+		if f.result != nil {
+			if &f.result[0] != &e.Result[0] {
+				t.Fatal("a done frame holds its own copy of the result bytes")
+			}
+			shared++
+		}
+	}
+	if shared != 1 {
+		t.Fatalf("%d done frames carry the result, want 1", shared)
+	}
+}
+
 // TestReplicationCorruptionRefused: any flipped bit in a frame — in the
-// record or in the riding cache entry — is detected before anything is
-// applied, counted, and the whole batch refused.
+// record or in the result bytes it carries — is detected and counted. A
+// CRC failure refuses the whole batch before anything is applied; a
+// re-framed record whose result fails its digest stops the batch at that
+// frame, and the poisoned result never reaches the cache.
 func TestReplicationCorruptionRefused(t *testing.T) {
 	_, primaryTS := newTestServer(t, Config{Workers: 2})
 	_, sr := postJob(t, primaryTS, `{"workload":"kmeans","detection":"subblock-4","scale":"tiny"}`)
@@ -139,34 +197,23 @@ func TestReplicationCorruptionRefused(t *testing.T) {
 	follower, _ := newTestServer(t, Config{Workers: 1, Following: true})
 	before := follower.ReplNextApply()
 
-	// CRC corruption: perturb a record field without restamping.
-	bad := ReplBatch{Frames: append([]ReplFrame(nil), batch.Frames...), FirstSeq: batch.FirstSeq, NextSeq: batch.NextSeq}
-	bad.Frames[0].Record.Key = bad.Frames[0].Record.Key + "x"
+	// CRC corruption: flip a bit in the first frame without restamping.
+	bad := ReplBatch{Frames: bytes.Clone(batch.Frames), NextSeq: batch.NextSeq}
+	bad.Frames[20] ^= 0x01
 	if _, err := follower.ApplyReplicatedBatch(bad); !errors.Is(err, ErrReplCorrupt) {
 		t.Fatalf("corrupt frame applied: %v", err)
 	}
 	if follower.metrics.ReplCorruptFrames() == 0 {
 		t.Fatal("corrupt frame not counted")
 	}
+	if follower.ReplNextApply() != before {
+		t.Fatal("a batch refused by CRC advanced the apply cursor")
+	}
 
-	// Digest corruption: flip a byte in an entry's result bytes and
-	// restamp the frame CRC, as a lying proxy that re-frames would.
-	var withEntry int = -1
-	for i, f := range batch.Frames {
-		if f.Entry != nil {
-			withEntry = i
-			break
-		}
-	}
-	if withEntry < 0 {
-		t.Fatal("no frame carries a cache entry")
-	}
-	bad2 := ReplBatch{Frames: append([]ReplFrame(nil), batch.Frames...), FirstSeq: batch.FirstSeq, NextSeq: batch.NextSeq}
-	e := *bad2.Frames[withEntry].Entry
-	e.Result = append([]byte(nil), e.Result...)
-	e.Result[len(e.Result)/2] ^= 0x01
-	bad2.Frames[withEntry].Entry = &e
-	bad2.Frames[withEntry].CRC = bad2.Frames[withEntry].computeCRC()
+	// Digest corruption: flip a byte in a done record's result bytes and
+	// re-frame it, as a lying proxy that re-frames would.
+	recs, withEntry := withFlippedResult(t, decodeBatch(t, batch.Frames))
+	bad2 := ReplBatch{Frames: encodeBatch(t, recs), NextSeq: batch.NextSeq}
 	if _, err := follower.ApplyReplicatedBatch(bad2); !errors.Is(err, ErrReplCorrupt) {
 		t.Fatalf("digest-mismatched entry applied: %v", err)
 	}
@@ -174,12 +221,12 @@ func TestReplicationCorruptionRefused(t *testing.T) {
 		t.Fatal("digest mismatch not counted")
 	}
 
-	// Nothing was applied by either refusal, and the poisoned result
-	// never reached the follower's cache.
-	if follower.ReplNextApply() != before {
-		t.Fatal("refused batches advanced the apply cursor")
+	// The cursor stopped at the poisoned frame, whose result never
+	// reached the follower's cache.
+	if got := follower.ReplNextApply(); got != recs[withEntry].Seq {
+		t.Fatalf("apply cursor = %d, want %d (the refused frame)", got, recs[withEntry].Seq)
 	}
-	if _, ok := follower.cache.peek(batch.Frames[withEntry].Record.Key); ok {
+	if _, ok := follower.cache.peek(recs[withEntry].Key); ok {
 		t.Fatal("corrupt entry reached the follower cache")
 	}
 }
@@ -213,18 +260,26 @@ func TestReplicationGapAndSnapshotResync(t *testing.T) {
 	}
 
 	snap := fetchSnapshot(t, primaryTS)
-	if !snap.verify() {
-		t.Fatal("snapshot failed CRC after HTTP round trip")
+	recs := decodeBatch(t, snap)
+	entries := 0
+	for _, rec := range recs {
+		if rec.Op == opDone {
+			entries++
+		}
 	}
-	applied, err := follower.ApplyReplicatedSnapshot(snap)
+	checkpoint := recs[len(recs)-1]
+	if checkpoint.Op != opCheckpoint {
+		t.Fatalf("bootstrap batch does not end in a checkpoint: %+v", checkpoint)
+	}
+	applied, err := follower.ApplyReplicatedBootstrap(snap)
 	if err != nil {
 		t.Fatalf("apply snapshot: %v", err)
 	}
-	if applied != len(snap.Entries) || applied == 0 {
-		t.Fatalf("applied %d of %d snapshot entries", applied, len(snap.Entries))
+	if applied != entries || applied == 0 {
+		t.Fatalf("applied %d of %d snapshot entries", applied, entries)
 	}
-	if follower.ReplNextApply() != snap.Seq {
-		t.Fatalf("resume cursor = %d, want %d", follower.ReplNextApply(), snap.Seq)
+	if follower.ReplNextApply() != checkpoint.Seq {
+		t.Fatalf("resume cursor = %d, want %d", follower.ReplNextApply(), checkpoint.Seq)
 	}
 
 	// Streaming resumes cleanly from the snapshot's cursor.
@@ -239,13 +294,15 @@ func TestReplicationGapAndSnapshotResync(t *testing.T) {
 		t.Fatalf("lag after re-sync = %d", follower.ReplicationLag())
 	}
 
-	// A tampered snapshot is refused outright.
-	badSnap := fetchSnapshot(t, primaryTS)
-	badSnap.Entries[0].Result = append([]byte(nil), badSnap.Entries[0].Result...)
-	badSnap.Entries[0].Result[0] ^= 0x01
-	badSnap.CRC = badSnap.computeCRC()
-	if _, err := follower.ApplyReplicatedSnapshot(badSnap); !errors.Is(err, ErrReplCorrupt) {
+	// A tampered snapshot is refused: a re-framed result that fails its
+	// digest, and a batch cut off before its closing checkpoint.
+	tampered, _ := withFlippedResult(t, decodeBatch(t, fetchSnapshot(t, primaryTS)))
+	if _, err := follower.ApplyReplicatedBootstrap(encodeBatch(t, tampered)); !errors.Is(err, ErrReplCorrupt) {
 		t.Fatalf("tampered snapshot applied: %v", err)
+	}
+	cut := decodeBatch(t, fetchSnapshot(t, primaryTS))
+	if _, err := follower.ApplyReplicatedBootstrap(encodeBatch(t, cut[:len(cut)-1])); !errors.Is(err, ErrReplCorrupt) {
+		t.Fatalf("snapshot without its checkpoint applied: %v", err)
 	}
 }
 
@@ -258,19 +315,20 @@ func TestReplicationPartialBatchLag(t *testing.T) {
 	waitDone(t, primaryTS, sr.Jobs[0].ID)
 
 	full := fetchBatch(t, primaryTS, 1, "")
-	if len(full.Frames) < 2 {
-		t.Fatalf("need >=2 frames, got %d", len(full.Frames))
+	fullRecs := decodeBatch(t, full.Frames)
+	if len(fullRecs) < 2 {
+		t.Fatalf("need >=2 frames, got %d", len(fullRecs))
 	}
 	one := fetchBatch(t, primaryTS, 1, "&max=1")
-	if len(one.Frames) != 1 {
-		t.Fatalf("max=1 returned %d frames", len(one.Frames))
+	if n := len(decodeBatch(t, one.Frames)); n != 1 {
+		t.Fatalf("max=1 returned %d frames", n)
 	}
 
 	follower, _ := newTestServer(t, Config{Workers: 1, Following: true})
 	if _, err := follower.ApplyReplicatedBatch(one); err != nil {
 		t.Fatal(err)
 	}
-	wantLag := int64(len(full.Frames) - 1)
+	wantLag := int64(len(fullRecs) - 1)
 	if lag := follower.ReplicationLag(); lag != wantLag {
 		t.Fatalf("lag = %d, want %d", lag, wantLag)
 	}
@@ -280,7 +338,7 @@ func TestReplicationPartialBatchLag(t *testing.T) {
 	}
 
 	// Skipping ahead (a hole in the stream) is a gap, not silently applied.
-	gap := ReplBatch{Frames: full.Frames[len(full.Frames)-1:], FirstSeq: full.FirstSeq, NextSeq: full.NextSeq}
+	gap := ReplBatch{Frames: encodeBatch(t, fullRecs[len(fullRecs)-1:]), NextSeq: full.NextSeq}
 	if _, err := follower.ApplyReplicatedBatch(gap); !errors.Is(err, ErrReplGap) {
 		t.Fatalf("mid-stream hole applied: %v", err)
 	}
@@ -343,20 +401,30 @@ func TestPromotionDisposesPendingCorrectly(t *testing.T) {
 	}
 
 	log := newReplLog(0)
-	// job-000100: submitted then done — terminal, its entry settles key1.
-	log.append(journalRecord{Op: opSubmitted, ID: "job-000100", Key: key1, Cell: &cell1}, nil)
-	log.append(journalRecord{Op: opDone, ID: "job-000100", Key: key1}, entry)
-	// job-000101: pending on the already-settled key1 -> fromCache.
-	log.append(journalRecord{Op: opSubmitted, ID: "job-000101", Key: key1, Cell: &cell1}, nil)
-	// job-000102: pending with a long-expired propagated deadline -> shed.
-	log.append(journalRecord{Op: opSubmitted, ID: "job-000102", Key: Key(cellSpec(t, cell2)), Cell: &cell2,
-		Deadline: "2020-01-01T00:00:00Z"}, nil)
-	// job-000103: pending, live -> re-enqueued and executed.
-	log.append(journalRecord{Op: opSubmitted, ID: "job-000103", Key: Key(cellSpec(t, cell3)), Cell: &cell3}, nil)
+	for _, rec := range []journalRecord{
+		// job-000100: submitted then done — terminal, its entry settles key1.
+		{Op: opSubmitted, ID: "job-000100", Key: key1, Cell: &cell1},
+		doneRecord("job-000100", entry),
+		// job-000101: pending on the already-settled key1 -> fromCache.
+		{Op: opSubmitted, ID: "job-000101", Key: key1, Cell: &cell1},
+		// job-000102: pending with a long-expired propagated deadline -> shed.
+		{Op: opSubmitted, ID: "job-000102", Key: Key(cellSpec(t, cell2)), Cell: &cell2,
+			Deadline: "2020-01-01T00:00:00Z"},
+		// job-000103: pending, live -> re-enqueued and executed.
+		{Op: opSubmitted, ID: "job-000103", Key: Key(cellSpec(t, cell3)), Cell: &cell3},
+	} {
+		if _, err := log.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	frames, _, next, _ := log.fetch(1, 100)
+	var body []byte
+	for _, f := range frames {
+		body = f.appendTo(body)
+	}
 	follower, followerTS := newTestServer(t, Config{Workers: 2, Following: true})
-	if _, err := follower.ApplyReplicatedBatch(ReplBatch{Frames: frames, FirstSeq: 1, NextSeq: next}); err != nil {
+	if _, err := follower.ApplyReplicatedBatch(ReplBatch{Frames: body, NextSeq: next}); err != nil {
 		t.Fatal(err)
 	}
 

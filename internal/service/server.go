@@ -119,17 +119,11 @@ type Config struct {
 
 	// Following, when true, boots the daemon as a warm standby: no
 	// worker pool, submissions refused with ErrFollowing (HTTP 503),
-	// state applied only through ApplyReplicatedSnapshot /
+	// state applied only through ApplyReplicatedBootstrap /
 	// ApplyReplicatedBatch until Promote starts the workers and opens
 	// the doors. The journal and snapshot paths still work — a follower
 	// is crash-durable in its own right.
 	Following bool
-
-	// VerifySnapshot, when true, re-hashes every snapshot entry's
-	// content digest at startup and quarantines mismatches (dropped,
-	// written to <path>.quarantine, counted) instead of serving
-	// silently corrupted cached results.
-	VerifySnapshot bool
 
 	// ReplicationLagMax, when positive, turns a follower's /healthz
 	// status to "lagging" once it is more than this many records behind
@@ -138,7 +132,7 @@ type Config struct {
 
 	// ReplLogCapacity bounds the in-memory replication log the daemon
 	// streams to followers (default 8192 records). A follower that
-	// falls further behind re-syncs from a snapshot checkpoint.
+	// falls further behind re-syncs from a bootstrap batch.
 	ReplLogCapacity int
 
 	// HistoryInterval, when positive, samples the daemon's load gauges
@@ -153,10 +147,8 @@ type Config struct {
 	// idle-priority background loop that walks the result cache and
 	// journal in deterministic seeded order, re-hashing every entry
 	// against its stored content digest and quarantining + repairing
-	// mismatches (see internal/audit). Arming the scrubber also turns on
-	// the serve-path digest guard, so a corrupted entry caught between
-	// passes is recomputed instead of served. Zero (the default)
-	// disables all of it — byte-for-byte the pre-audit behavior.
+	// mismatches (see internal/audit). Zero (the default) disables the
+	// scrubber; every cache read verifies its entry's digest either way.
 	ScrubInterval time.Duration
 
 	// ScrubRate caps the scrub walk at this many entries per second
@@ -320,15 +312,11 @@ func (e *PanicError) Error() string {
 // RecoveryStats summarizes a startup journal replay.
 type RecoveryStats struct {
 	Replayed    int // journaled jobs seen
-	Reenqueued  int // re-enqueued (never reached done, or done but evicted from cache)
-	FromCache   int // done jobs served from the reloaded snapshot
+	Reenqueued  int // re-enqueued (never reached done, or a done record failed its digest)
+	FromCache   int // done jobs settled from their done record or the reloaded snapshot
 	Terminal    int // failed/canceled jobs re-registered terminal
 	Torn        int // torn tail records tolerated (crash mid-append)
 	Quarantined int // mid-file corrupt records quarantined during replay
-
-	// SnapshotQuarantined counts snapshot entries whose content digest
-	// failed re-verification under Config.VerifySnapshot.
-	SnapshotQuarantined int
 }
 
 // Health is the GET /healthz document. Beyond liveness flags it carries
@@ -468,6 +456,7 @@ func New(cfg Config) (*Server, error) {
 		replNextApply: 1,
 	}
 	s.audit.repairPending = make(map[string]struct{})
+	s.cache.corrupt = s.auditQuarantineServe
 	if cfg.HistoryInterval > 0 {
 		s.history = obs.NewHistory(historyGauges, cfg.HistoryCapacity, nil)
 	}
@@ -525,16 +514,9 @@ func New(cfg Config) (*Server, error) {
 
 // loadSnapshot reloads the cache snapshot, quarantining a corrupt file
 // (rename to <path>.corrupt-<timestamp>) instead of failing startup.
-// Under Config.VerifySnapshot each entry's content digest is re-hashed
-// and mismatching entries are quarantined individually.
+// Entries are verified when read, not here.
 func (s *Server) loadSnapshot() error {
-	quarantined, err := s.cache.LoadFileVerifiedFS(s.cfg.FS, s.cfg.SnapshotPath, s.cfg.VerifySnapshot)
-	if quarantined > 0 {
-		s.recovery.SnapshotQuarantined = quarantined
-		s.metrics.addSnapshotEntryQuarantines(quarantined)
-		s.logger.Warn("snapshot entries failed digest verification and were quarantined",
-			"entries", quarantined, "path", s.cfg.SnapshotPath+".quarantine")
-	}
+	err := s.cache.LoadFileFS(s.cfg.FS, s.cfg.SnapshotPath)
 	if err == nil {
 		return nil
 	}
@@ -604,16 +586,16 @@ func (s *Server) replayJournal() ([]*Job, error) {
 		}
 		switch {
 		case rj.Op == opDone:
-			if e, ok := s.cache.peek(job.Key); ok {
+			if e, ok := s.settle(*rj.Done); ok {
 				job.State = JobDone
 				job.CacheHit = true
 				job.Result = e.Result
 				job.closeDone()
 				fromCache++
 			} else {
-				// Completed, but its result fell out of the cache (or was
-				// never snapshotted). Re-run: the simulator is
-				// deterministic, so the recomputation is bit-identical.
+				// The done record's result fails its digest. Re-run: the
+				// simulator is deterministic, so the recomputation is
+				// bit-identical.
 				job.State = JobQueued
 				job.enqueuedAt = time.Now()
 				reenqueue = append(reenqueue, job)
@@ -651,7 +633,16 @@ func (s *Server) replayJournal() ([]*Job, error) {
 	s.journal = j
 
 	// Startup compaction: everything terminal is covered by the cache /
-	// already reported; rewrite the journal down to the live set.
+	// already reported; rewrite the journal down to the live set. Results
+	// settled from done records are written to the snapshot first, so
+	// compaction never drops the only durable copy.
+	if fromCache > 0 && s.cfg.SnapshotPath != "" {
+		if serr := s.cache.SaveFileFS(s.cfg.FS, s.cfg.SnapshotPath); serr != nil {
+			s.degrade("snapshot write", serr)
+			return reenqueue, nil
+		}
+		s.metrics.incSnapshotWrites()
+	}
 	live := make([]journalRecord, 0, len(reenqueue))
 	for _, job := range reenqueue {
 		live = append(live, submittedRecord(job))
@@ -678,14 +669,18 @@ func (s *Server) Cache() *Cache { return s.cache }
 // serving, and /healthz reports degraded. First reason wins.
 func (s *Server) degrade(what string, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.degradeLocked(what, err)
+}
+
+// degradeLocked is degrade for callers that hold s.mu.
+func (s *Server) degradeLocked(what string, err error) {
 	if !s.degraded {
 		s.degraded = true
 		s.degradedReason = what + ": " + err.Error()
 	}
-	j := s.journal
-	s.journal = nil
-	s.mu.Unlock()
-	if j != nil {
+	if j := s.journal; j != nil {
+		s.journal = nil
 		j.Close()
 	}
 	s.logger.Error("daemon degraded to memory-only mode", "cause", what, "err", err)
@@ -735,34 +730,50 @@ func (s *Server) Health() Health {
 	return h
 }
 
-// journalAppend appends one lifecycle record; a write failure degrades
-// the daemon (memory-only) instead of surfacing to the job. It reports
-// whether a live journal actually took the record, so callers emit
-// journal-stage spans only when journaling is on.
-func (s *Server) journalAppend(rec journalRecord) bool {
+// record frames lifecycle records once each, stamped with the next
+// replication sequence, and hands those frames to the replication log
+// and, when journaling is live, to the disk journal in one write. A
+// journal write failure degrades the daemon (memory-only) instead of
+// surfacing to the job. The caller must not hold s.mu; recordLocked is
+// for callers that do — there the fsync rides inside the critical
+// section, so acceptance order and journal order agree.
+func (s *Server) record(trace string, recs ...journalRecord) {
 	s.mu.Lock()
 	j := s.journal
 	s.mu.Unlock()
-	if j == nil {
-		return false
-	}
-	if err := j.Append(rec); err != nil {
+	if err := s.appendFrames(trace, j, recs); err != nil {
 		s.degrade("journal append", err)
 	}
-	return true
 }
 
-// journalTimed is journalAppend plus stage accounting: the append's
-// wall time feeds the journal histogram and, when the job is traced, a
-// "journal" span.
-func (s *Server) journalTimed(trace string, rec journalRecord) {
-	start := time.Now()
-	if !s.journalAppend(rec) {
-		return
+func (s *Server) recordLocked(trace string, recs ...journalRecord) {
+	if err := s.appendFrames(trace, s.journal, recs); err != nil {
+		s.degradeLocked("journal append", err)
 	}
+}
+
+// appendFrames frames recs into the replication log and writes the same
+// frames to j (nil when journaling is off or detached). The write's wall
+// time feeds the journal histogram and, when the job is traced, a
+// "journal" span.
+func (s *Server) appendFrames(trace string, j *Journal, recs []journalRecord) error {
+	frames := make([]frame, len(recs))
+	for i, rec := range recs {
+		f, err := s.repl.append(rec)
+		if err != nil {
+			return err
+		}
+		frames[i] = f
+	}
+	if j == nil || len(frames) == 0 {
+		return nil
+	}
+	start := time.Now()
+	err := j.Append(frames...)
 	d := time.Since(start)
 	s.stages.journal.Observe(d)
-	s.span(trace, "journal", start, d, "op", string(rec.Op), "job", rec.ID)
+	s.span(trace, "journal", start, d, "op", string(recs[0].Op), "job", recs[0].ID)
+	return err
 }
 
 // journalRecords returns the live journal's append count (0 when
@@ -850,20 +861,10 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 	}
 
 	cacheStart := time.Now()
+	// Get re-hashes the bytes about to be served: an entry corrupted since
+	// it was stored is quarantined and recomputed as a miss, so a client
+	// never observes corrupted bytes.
 	e, hit := s.cache.Get(key)
-	if hit && s.auditArmed() {
-		// Serve-path integrity guard (armed scrubber only): re-hash the
-		// bytes about to be served. An entry corrupted at rest since the
-		// last scrub pass is quarantined and recomputed as a miss — a
-		// client never observes corrupted bytes.
-		ve, outcome := s.cache.VerifyEntry(key)
-		if outcome == VerifyCorrupt {
-			s.auditQuarantineServe(ve)
-		}
-		if outcome != VerifyOK {
-			e, hit = nil, false
-		}
-	}
 	cacheDur := time.Since(cacheStart)
 	s.stages.cache.Observe(cacheDur)
 	if hit {
@@ -880,13 +881,15 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 		s.registerLocked(job)
 		s.metrics.incSubmitted()
 		s.metrics.incCompleted()
-		// One combined record: the job was accepted AND completed. Replay
-		// serves it straight from the snapshot; followers get the full
-		// entry so the settled key replicates with its digest.
-		cell := encodeCell(job.Spec)
-		rec := journalRecord{Op: opDone, ID: job.ID, Key: key, Cell: &cell}
-		s.appendLockedTimed(job.TraceID, rec)
-		s.replicate(rec, e)
+		// One combined record: the job was accepted AND completed. It
+		// carries the full entry, so replay and followers settle the key
+		// from the record itself.
+		rec := doneRecord(job.ID, e)
+		if rec.Cell == nil {
+			cell := encodeCell(job.Spec)
+			rec.Cell = &cell
+		}
+		s.recordLocked(job.TraceID, rec)
 		s.admitted(opts.Trace, admStart, "cache-hit", job.ID)
 		return job, nil
 	}
@@ -924,9 +927,7 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 	job.enqueuedAt = time.Now()
 	// Write-ahead: the acceptance is durable before it is acknowledged
 	// (and before the worker can race ahead to its started record).
-	rec := submittedRecord(job)
-	s.appendLockedTimed(job.TraceID, rec)
-	s.replicate(rec, nil)
+	s.recordLocked(job.TraceID, submittedRecord(job))
 	select {
 	case s.queue <- job:
 	default:
@@ -966,38 +967,6 @@ func submittedRecord(job *Job) journalRecord {
 		rec.Deadline = job.Deadline.Format(time.RFC3339Nano)
 	}
 	return rec
-}
-
-// appendLocked journals a record while holding s.mu — the fsync rides
-// inside the submission critical section so acceptance order and
-// journal order agree. Failures degrade (journal detaches); the inline
-// detach avoids re-locking. Reports whether a live journal took the
-// record (span gating, as journalAppend).
-func (s *Server) appendLocked(rec journalRecord) bool {
-	j := s.journal
-	if j == nil {
-		return false
-	}
-	if err := j.Append(rec); err != nil {
-		if !s.degraded {
-			s.degraded = true
-			s.degradedReason = "journal append: " + err.Error()
-		}
-		s.journal = nil
-		go j.Close()
-	}
-	return true
-}
-
-// appendLockedTimed is appendLocked plus journal-stage accounting.
-func (s *Server) appendLockedTimed(trace string, rec journalRecord) {
-	start := time.Now()
-	if !s.appendLocked(rec) {
-		return
-	}
-	d := time.Since(start)
-	s.stages.journal.Observe(d)
-	s.span(trace, "journal", start, d, "op", string(rec.Op), "job", rec.ID)
 }
 
 // registerLocked records the job and enforces the retention bound.
@@ -1069,9 +1038,7 @@ func (s *Server) Cancel(id string) bool {
 		job.State = JobCanceled
 		job.Err = "canceled before start"
 		job.closeDone()
-		rec := journalRecord{Op: opCanceled, ID: job.ID, Key: job.Key, Error: job.Err}
-		s.appendLockedTimed(job.TraceID, rec)
-		s.replicate(rec, nil)
+		s.recordLocked(job.TraceID, journalRecord{Op: opCanceled, ID: job.ID, Key: job.Key, Error: job.Err})
 		s.metrics.incCanceled()
 		s.mu.Unlock()
 		return true
@@ -1162,9 +1129,7 @@ func (s *Server) runJob(job *Job) {
 		job.State = JobCanceled
 		job.Err = "deadline expired before simulation start"
 		job.closeDone()
-		rec := journalRecord{Op: opCanceled, ID: job.ID, Key: job.Key, Error: job.Err}
-		s.appendLockedTimed(job.TraceID, rec)
-		s.replicate(rec, nil)
+		s.recordLocked(job.TraceID, journalRecord{Op: opCanceled, ID: job.ID, Key: job.Key, Error: job.Err})
 		s.mu.Unlock()
 		s.metrics.incShedExpired()
 		s.metrics.incCanceled()
@@ -1182,9 +1147,7 @@ func (s *Server) runJob(job *Job) {
 	job.cancelRun = doCancel
 	s.mu.Unlock()
 
-	startedRec := journalRecord{Op: opStarted, ID: job.ID, Key: job.Key}
-	s.journalTimed(job.TraceID, startedRec)
-	s.replicate(startedRec, nil)
+	s.record(job.TraceID, journalRecord{Op: opStarted, ID: job.ID, Key: job.Key})
 
 	// peek, not Get: the user-facing hit/miss counters belong to the
 	// Submit path; this internal re-check (a racing duplicate may have
@@ -1196,11 +1159,9 @@ func (s *Server) runJob(job *Job) {
 	var sfStart time.Time // zero until the job actually waits behind a leader
 claim:
 	for {
-		if e, ok := s.peekVerified(job.Key); ok {
+		if e, ok := s.cache.peek(job.Key); ok {
 			s.singleflightDone(job, sfStart)
-			doneRec := journalRecord{Op: opDone, ID: job.ID, Key: job.Key}
-			s.journalTimed(job.TraceID, doneRec)
-			s.replicate(doneRec, e)
+			s.record(job.TraceID, doneRecord(job.ID, e))
 			s.finish(job, JobDone, true, e.Result, "", "")
 			s.metrics.incCompleted()
 			s.adm.observe(time.Since(job.submittedAt))
@@ -1288,33 +1249,28 @@ claim:
 			return
 		}
 		cell := encodeCell(job.Spec)
-		s.cache.Put(&CacheEntry{
+		entry := &CacheEntry{
 			Key:       job.Key,
 			Workload:  job.Spec.Workload,
 			SimCycles: r.Cycles,
 			Result:    data,
 			Cell:      &cell,
-		})
-		// Serve the bytes the cache actually retained: if a racing
-		// duplicate stored first, its (bit-identical by the determinism
-		// contract) bytes are the canonical copy for this key.
-		var storedEntry *CacheEntry
+		}
+		s.cache.Put(entry)
+		// Serve (and record) the bytes the cache actually retained: if a
+		// racing duplicate stored first, its (bit-identical by the
+		// determinism contract) bytes are the canonical copy for this key.
 		if stored, ok := s.cache.peek(job.Key); ok {
-			data = stored.Result
-			storedEntry = stored
+			entry = stored
 		}
 		s.breaker.success(job.Key)
 		s.metrics.noteRun(job.Spec.Workload, r.Cycles, wall.Milliseconds())
-		doneRec := journalRecord{Op: opDone, ID: job.ID, Key: job.Key}
-		s.journalTimed(job.TraceID, doneRec)
-		s.replicate(doneRec, storedEntry)
-		s.finish(job, JobDone, false, data, "", "")
+		s.record(job.TraceID, doneRecord(job.ID, entry))
+		s.finish(job, JobDone, false, entry.Result, "", "")
 		s.metrics.incCompleted()
 		s.adm.observe(time.Since(job.submittedAt))
 	case errors.Is(err, asfsim.ErrCanceled):
-		canceledRec := journalRecord{Op: opCanceled, ID: job.ID, Key: job.Key, Error: err.Error()}
-		s.journalTimed(job.TraceID, canceledRec)
-		s.replicate(canceledRec, nil)
+		s.record(job.TraceID, journalRecord{Op: opCanceled, ID: job.ID, Key: job.Key, Error: err.Error()})
 		s.finish(job, JobCanceled, false, nil, err.Error(), "")
 		s.metrics.incCanceled()
 	case errors.As(err, &pe):
@@ -1332,9 +1288,7 @@ func (s *Server) failJob(job *Job, msg, kind string) {
 		s.logger.Warn("failure breaker tripped", "key", job.Key, "job", job.ID)
 	}
 	s.logger.WithTrace(job.TraceID).Warn("job failed", "job", job.ID, "kind", kind, "err", msg)
-	failedRec := journalRecord{Op: opFailed, ID: job.ID, Key: job.Key, Error: msg, Kind: kind}
-	s.journalTimed(job.TraceID, failedRec)
-	s.replicate(failedRec, nil)
+	s.record(job.TraceID, journalRecord{Op: opFailed, ID: job.ID, Key: job.Key, Error: msg, Kind: kind})
 	s.finish(job, JobFailed, false, nil, msg, kind)
 	s.metrics.incFailed()
 }

@@ -155,11 +155,9 @@ type Machine struct {
 	recorder *trace.Writer
 
 	executed bool
-	// clean records that the last Execute ran its scheduler to completion,
-	// so every worker goroutine has exited and the machine may be Reset and
-	// reused. An errored run (MaxCycles, cancellation) leaves goroutines
-	// parked on their resume channels and the machine permanently dirty.
-	clean bool
+	// unwinding is set while an errored run resumes its unfinished threads
+	// so that each one panics out of its parked yield and exits.
+	unwinding bool
 }
 
 type yieldMsg struct {
@@ -304,12 +302,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Reusable reports whether the machine can be Reset for another run: either
-// it never executed, or its last run finished cleanly (all worker
-// goroutines exited). Machines whose run errored out mid-flight hold parked
-// goroutines and must be discarded.
-func (m *Machine) Reusable() bool { return !m.executed || m.clean }
-
 // Reset rewinds an executed machine to the fresh-from-NewMachine state
 // under a (possibly different) configuration, reusing every arena the
 // machine already grew: pages, cache ways, the dense line tables, engines
@@ -321,9 +313,6 @@ func (m *Machine) Reusable() bool { return !m.executed || m.clean }
 // first-touch order, and the allocator restarts at the same base — the
 // next Execute draws exactly the sequence a new machine would.
 func (m *Machine) Reset(cfg Config) error {
-	if !m.Reusable() {
-		return fmt.Errorf("sim: cannot reset a machine whose run did not finish cleanly")
-	}
 	if err := normalizeConfig(&cfg); err != nil {
 		return err
 	}
@@ -381,7 +370,6 @@ func (m *Machine) Reset(cfg Config) error {
 		return fmt.Errorf("sim: reset left dirty memory (lock word %#x)", got)
 	}
 	m.executed = false
-	m.clean = false
 	return nil
 }
 
@@ -520,14 +508,13 @@ type Workload interface {
 }
 
 // Execute runs the workload to completion and returns the aggregated
-// statistics. A Machine runs one workload; Reset rewinds a cleanly
-// finished machine for another Execute.
+// statistics. A Machine runs one workload; Reset rewinds it, whether the
+// run finished or failed, for another Execute.
 func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 	if m.executed {
 		return nil, fmt.Errorf("sim: machine already executed a workload")
 	}
 	m.executed = true
-	m.clean = false
 	m.run.Workload = w.Name()
 
 	w.Setup(m)
@@ -586,7 +573,6 @@ func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 	if err := m.schedule(); err != nil {
 		return m.run, err
 	}
-	m.clean = true
 
 	m.aggregate()
 	if err := m.ledger.Check(); err != nil {
@@ -600,7 +586,8 @@ func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 
 // schedule is the deterministic event loop: repeatedly resume the ready
 // thread with the smallest (wake, id) until all threads have finished.
-// It returns an error if the MaxCycles watchdog fires.
+// It returns an error if the run is canceled or the MaxCycles watchdog
+// fires; every early exit unwinds the unfinished threads first.
 func (m *Machine) schedule() error {
 	active := len(m.threads)
 	for active > 0 {
@@ -624,19 +611,14 @@ func (m *Machine) schedule() error {
 		if m.cfg.Cancel != nil {
 			select {
 			case <-m.cfg.Cancel:
-				// Same deal as the MaxCycles path below: worker goroutines
-				// stay parked on their resume channels; the machine is
-				// single-use and about to be discarded.
+				m.unwind()
 				return fmt.Errorf("%w at cycle %d with %d threads still running",
 					ErrCanceled, m.now, active)
 			default:
 			}
 		}
 		if m.cfg.MaxCycles > 0 && next.wake > m.cfg.MaxCycles {
-			// The workload is still running past the deadline. Threads are
-			// goroutines blocked on their resume channels; the process is
-			// about to report an error and the machine is single-use, so
-			// they are left parked (they hold no locks and cost no CPU).
+			m.unwind()
 			return fmt.Errorf("sim: watchdog: simulation passed %d cycles with %d threads still running",
 				m.cfg.MaxCycles, active)
 		}
@@ -647,11 +629,30 @@ func (m *Machine) schedule() error {
 			msg.t.finished = true
 			active--
 			if msg.panicked != nil {
+				m.unwind()
 				panic(fmt.Sprintf("sim: thread %d panicked: %v", msg.t.id, msg.panicked))
 			}
 		}
 	}
 	return nil
+}
+
+// unwind ends an errored run: every unfinished thread is resumed with
+// unwinding set, so its parked yield panics with threadUnwind and the
+// goroutine exits through Thread.main. A thread whose deferred code
+// yields again is resumed again until it reports finished. Afterwards no
+// goroutine holds the machine, which Reset can rewind like any other.
+func (m *Machine) unwind() {
+	m.unwinding = true
+	for _, t := range m.threads {
+		for !t.finished {
+			t.resume <- struct{}{}
+			if msg := <-m.yieldCh; msg.finished {
+				t.finished = true
+			}
+		}
+	}
+	m.unwinding = false
 }
 
 // aggregate folds per-engine and bus statistics into the Run record.

@@ -33,20 +33,18 @@ func (p *MachinePool) GetTracked(cfg Config) (m *Machine, reused bool, err error
 		if err := m.Reset(cfg); err == nil {
 			return m, true, nil
 		}
-		// Structurally incompatible (or dirty): drop it; the GC reclaims
-		// the arenas and the caller gets a clean build.
+		// Structurally incompatible: drop it; the GC reclaims the arenas
+		// and the caller gets a clean build.
 	}
 	m, err = NewMachine(cfg)
 	return m, false, err
 }
 
-// Put offers a machine back for reuse. Machines whose run did not finish
-// cleanly (parked worker goroutines) are silently discarded.
+// Put offers a machine back for reuse, whether its run finished or failed.
 func (p *MachinePool) Put(m *Machine) {
-	if m == nil || !m.Reusable() {
-		return
+	if m != nil {
+		p.pool.Put(m)
 	}
-	p.pool.Put(m)
 }
 
 // DefaultPool is the process-wide machine pool used by the top-level run

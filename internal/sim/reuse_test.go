@@ -5,7 +5,9 @@ package sim_test
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -179,55 +181,141 @@ func TestResetRejectsStructuralChanges(t *testing.T) {
 	}
 }
 
-// TestResetRefusesDirtyMachine: a run that errors out mid-flight (here via
-// MaxCycles) leaves worker goroutines parked, so the machine must refuse
-// to be reset or pooled.
-func TestResetRefusesDirtyMachine(t *testing.T) {
-	cfg := baseCfg(1)
-	cfg.MaxCycles = 2000 // far too few for kmeans to finish
-	m, err := sim.NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
+// failingWorkload is kmeans whose thread 1 panics partway through its
+// run, after the other threads have parked mid-workload.
+type failingWorkload struct{ sim.Workload }
+
+func (w failingWorkload) Run(t *sim.Thread) {
+	if t.ID() == 1 {
+		t.Work(5000)
+		panic("injected thread failure")
 	}
-	w, err := workloads.New("kmeans", workloads.ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
+	w.Workload.Run(t)
+}
+
+// erroredRuns are the ways a run can end early: canceled before its first
+// op, canceled or stopped by MaxCycles mid-run, and a panicking thread.
+func erroredRuns() []struct {
+	name string
+	run  func(t *testing.T, m *sim.Machine)
+} {
+	execute := func(t *testing.T, m *sim.Machine, cfg sim.Config, w sim.Workload) error {
+		t.Helper()
+		if err := m.Reset(cfg); err != nil {
+			t.Fatalf("reset for errored run: %v", err)
+		}
+		_, err := m.Execute(w)
+		return err
 	}
-	if _, err := m.Execute(w); err == nil {
-		t.Fatal("expected the MaxCycles watchdog to fire")
+	kmeans := func(t *testing.T) sim.Workload {
+		t.Helper()
+		w, err := workloads.New("kmeans", workloads.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
 	}
-	if m.Reusable() {
-		t.Error("machine with parked goroutines reports Reusable")
+	return []struct {
+		name string
+		run  func(t *testing.T, m *sim.Machine)
+	}{
+		{"canceled-before-start", func(t *testing.T, m *sim.Machine) {
+			cancel := make(chan struct{})
+			close(cancel)
+			cfg := baseCfg(1)
+			cfg.Cancel = cancel
+			if err := execute(t, m, cfg, kmeans(t)); !errors.Is(err, sim.ErrCanceled) {
+				t.Fatalf("expected ErrCanceled, got %v", err)
+			}
+		}},
+		{"max-cycles", func(t *testing.T, m *sim.Machine) {
+			cfg := baseCfg(1)
+			cfg.MaxCycles = 2000 // far too few for kmeans to finish
+			if err := execute(t, m, cfg, kmeans(t)); err == nil {
+				t.Fatal("expected the MaxCycles watchdog to fire")
+			}
+		}},
+		{"thread-panic", func(t *testing.T, m *sim.Machine) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected the thread panic to propagate")
+				}
+			}()
+			execute(t, m, baseCfg(1), failingWorkload{kmeans(t)})
+		}},
 	}
-	if err := m.Reset(cfg); err == nil {
-		t.Error("reset accepted a dirty machine")
+}
+
+// TestErroredRunResetsClean: a machine whose run failed is reset and
+// reused like one that finished. After each kind of errored run, every
+// spec of the gauntlet run on the same machine is bit-identical to a
+// fresh machine's run.
+func TestErroredRunResetsClean(t *testing.T) {
+	specs := reuseSpecs()
+	fresh := make([]*stats.Run, len(specs))
+	for i, s := range specs {
+		fresh[i] = runFresh(t, s)
+	}
+	for _, e := range erroredRuns() {
+		m, err := sim.NewMachine(baseCfg(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range specs {
+			e.run(t, m)
+			if got := runReused(t, m, s); !reflect.DeepEqual(got, fresh[i]) {
+				t.Errorf("%s then %s: run diverged from fresh machine", e.name, s.name)
+			}
+		}
+	}
+}
+
+// TestErroredRunsDoNotLeak: canceled and MaxCycles-stopped runs on fresh
+// machines leave no goroutine behind and no machine reachable, so the
+// goroutine count and the post-GC live heap return to their baseline.
+func TestErroredRunsDoNotLeak(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	baseG, baseHeap := runtime.NumGoroutine(), heap()
+
+	for i := 0; i < 20; i++ {
+		for _, e := range erroredRuns()[:2] {
+			m, err := sim.NewMachine(baseCfg(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.run(t, m)
+		}
+		// A cancellation that lands while the threads are mid-workload.
+		cancel := make(chan struct{})
+		cfg := baseCfg(uint64(i + 1))
+		cfg.Cancel = cancel
+		m, err := sim.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := workloads.New("kmeans", workloads.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		timer := time.AfterFunc(200*time.Microsecond, func() { close(cancel) })
+		m.Execute(w)
+		timer.Stop()
 	}
 
-	// A canceled run is dirty the same way.
-	cancel := make(chan struct{})
-	close(cancel)
-	cfg = baseCfg(1)
-	cfg.Cancel = cancel
-	m2, err := sim.NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseG && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := m2.Execute(w); !errors.Is(err, sim.ErrCanceled) {
-		t.Fatalf("expected ErrCanceled, got %v", err)
+	if g := runtime.NumGoroutine(); g > baseG {
+		t.Errorf("goroutines: %d after 60 errored runs, baseline %d", g, baseG)
 	}
-	if m2.Reusable() {
-		t.Error("canceled machine reports Reusable")
-	}
-
-	// The pool silently refuses both.
-	var pool sim.MachinePool
-	pool.Put(m)
-	pool.Put(m2)
-	m3, err := pool.Get(baseCfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m3 == m || m3 == m2 {
-		t.Error("pool handed back a dirty machine")
+	// One leaked machine pins several MB; allow only allocator noise.
+	if h := heap(); h > baseHeap+4<<20 {
+		t.Errorf("live heap: %d MB after 60 errored runs, baseline %d MB", h>>20, baseHeap>>20)
 	}
 }

@@ -107,15 +107,25 @@ func (t *Thread) Machine() *Machine { return t.m }
 // Now returns the thread's current simulated time.
 func (t *Thread) Now() int64 { return t.wake }
 
+// threadUnwind is the panic value that unwinds a thread parked in yield
+// when its run has failed (see Machine.unwind).
+type threadUnwind struct{}
+
 // main is the goroutine body: wait to be scheduled, run the workload,
-// report completion (or a panic) to the scheduler.
+// report completion (or a panic) to the scheduler. A thread first resumed
+// by an unwinding machine never starts the workload.
 func (t *Thread) main(body func(*Thread)) {
 	<-t.resume
 	var pval any
 	func() {
 		defer func() { pval = recover() }()
-		body(t)
+		if !t.m.unwinding {
+			body(t)
+		}
 	}()
+	if _, ok := pval.(threadUnwind); ok {
+		pval = nil
+	}
 	t.m.yieldCh <- yieldMsg{t: t, finished: true, panicked: pval}
 }
 
@@ -123,6 +133,9 @@ func (t *Thread) main(body func(*Thread)) {
 func (t *Thread) yield() {
 	t.m.yieldCh <- yieldMsg{t: t}
 	<-t.resume
+	if t.m.unwinding {
+		panic(threadUnwind{})
+	}
 }
 
 // step charges lat cycles (attributed to the current bucket) and yields.
