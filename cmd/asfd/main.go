@@ -5,7 +5,7 @@
 //
 // Quickstart:
 //
-//	asfd -addr :8080 -cache-snapshot /tmp/asfd.cache.json &
+//	asfd -addr :8080 -cache-snapshot /tmp/asfd.snap &
 //	curl -s -X POST localhost:8080/v1/jobs \
 //	    -H 'X-ASF-Trace: demo-0001' \
 //	    -d '{"workload":"kmeans","detection":"subblock-4","scale":"small"}'
@@ -23,13 +23,15 @@
 //
 // SIGINT/SIGTERM drain gracefully: the HTTP listener stops, queued and
 // running jobs finish (up to -drain-timeout, after which in-flight
-// simulations are canceled), and the cache snapshot is written.
+// simulations are canceled), and the image is written to
+// -cache-snapshot: the cache and the live jobs as CRC-framed journal
+// lines, the same bytes GET /v1/replication/snapshot serves.
 //
 // With -journal the daemon is crash-safe: every accepted job is written
 // to an fsync'd append-only journal before it is acknowledged, and on
-// restart the journal is replayed — completed cells are served from the
-// reloaded snapshot or from their journaled done records, which carry
-// the result, and unfinished ones are re-enqueued. Disk-write
+// restart the image and then the journal are replayed — completed cells
+// are served from the reloaded image or from their journaled done
+// records, which carry the result, and unfinished ones are re-enqueued. Disk-write
 // failures degrade the daemon to memory-only operation (visible on
 // /healthz) instead of crashing it.
 package main
@@ -57,8 +59,8 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue", 64, "job queue depth (backpressure bound)")
 	cacheEntries := flag.Int("cache-entries", 1024, "result cache bound (entries)")
-	snapshot := flag.String("cache-snapshot", "", "cache snapshot path (persisted on shutdown, reloaded on start)")
-	snapshotInterval := flag.Duration("snapshot-interval", 0, "periodic cache-snapshot flush (0 = only on shutdown); needs -cache-snapshot")
+	snapshot := flag.String("cache-snapshot", "", "image path, e.g. asfd.snap: the cache and live jobs as journal frames (written on shutdown, reloaded on start)")
+	snapshotInterval := flag.Duration("snapshot-interval", 0, "periodic image write and journal compaction (0 = only on shutdown); needs -cache-snapshot")
 	journal := flag.String("journal", "", "job journal path (crash-safe: accepted jobs are fsync'd and replayed on restart)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures of one cell before resubmissions get 422 (0 = default 3, negative disables)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock cap (0 = unlimited)")
@@ -76,7 +78,7 @@ func main() {
 	replicateFrom := flag.String("replicate-from", "", "primary base URL to follow as a warm standby (boots without workers; promote via POST /v1/replication/promote)")
 	replicationLagMax := flag.Int("replication-lag-max", 0, "/healthz reports \"lagging\" when the follower is more than this many records behind (0 disables)")
 	replLogCapacity := flag.Int("repl-log-capacity", 0, "in-memory replication log window, frames (0 = default 8192); followers behind the window re-sync from a snapshot")
-	promoteOnStart := flag.Bool("promote-on-start", false, "boot as a standby (replaying the local journal and snapshot) and immediately promote to serving primary")
+	promoteOnStart := flag.Bool("promote-on-start", false, "boot as a standby (replaying the local image and journal) and immediately promote to serving primary")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background integrity scrub pass interval (0 disables the scrubber; every cache read verifies its digest regardless)")
 	scrubRate := flag.Int("scrub-rate", 0, "scrubber pacing, entries per second (0 = unpaced beyond idle-priority backoff); needs -scrub-interval")
 	auditSampleRate := flag.Float64("audit-sample-rate", 0, "fraction of scanned entries fully re-executed per scrub pass, 0..1 (rotates deterministically across passes)")
@@ -137,7 +139,7 @@ func main() {
 	switch {
 	case *promoteOnStart:
 		// Take over from a dead primary using whatever the local journal
-		// and snapshot preserved: settled keys serve from the cache,
+		// and image preserved: settled keys serve from the cache,
 		// expired pending jobs are shed, the rest re-enqueue.
 		st, perr := srv.Promote()
 		if perr != nil {
@@ -202,7 +204,7 @@ func main() {
 	}
 
 	// Stop the listener first so no new jobs arrive, then drain the
-	// service (which writes the cache snapshot last).
+	// service (which writes the image last).
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if follower != nil {
@@ -213,7 +215,7 @@ func main() {
 	}
 	// A failed final persist is logged, not fatal: the drain itself
 	// succeeded, and the journal (when enabled) still covers anything
-	// the snapshot missed.
+	// the image missed.
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("shutdown persist", "err", err)
 	}

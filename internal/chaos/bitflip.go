@@ -3,7 +3,7 @@ package chaos
 // At-rest corruption and Byzantine-response injection for the audit
 // soaks. The faults here are surgical on purpose: each one flips a
 // single ASCII digit (XOR 0x01, so a digit stays a digit) inside a
-// result payload, which keeps every file and response syntactically
+// result payload, which keeps every record and response syntactically
 // valid JSON — the only thing that can catch the damage is content
 // verification, which is exactly what the scrubber and the client
 // quorum are on trial for.
@@ -11,6 +11,7 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"strings"
@@ -18,7 +19,7 @@ import (
 	"repro/internal/rng"
 )
 
-// resultMarker locates result payloads inside snapshot files and job
+// resultMarker locates result payloads inside image frames and job
 // responses; the first digit after it sits inside the recorded result
 // bytes, so flipping it breaks the entry's content digest and nothing
 // else.
@@ -59,29 +60,41 @@ func flipTargets(data []byte) []int {
 }
 
 // FlipSnapshotResults corrupts up to n distinct cache entries in the
-// snapshot file at path: for each selected entry, one digit inside its
-// stored result bytes is XOR'd with 1. The file stays valid JSON and
-// every selected entry's bytes stop matching its recorded digest.
-// Selection is seeded and deterministic. Returns how many entries were
-// actually flipped.
+// image at path: in each selected done frame one digit inside the stored
+// result bytes is XOR'd with 1, and the frame's CRC is re-sealed over the
+// damaged payload. That models an entry corrupted before it was framed
+// (in memory, between computation and persistence): the frame verifies
+// and the image loads, so only the entry's content digest can catch the
+// damage. Selection is seeded and deterministic. Returns how many
+// entries were actually flipped.
 func FlipSnapshotResults(path string, seed uint64, n int) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	offs := flipTargets(data)
-	if len(offs) == 0 {
+	type target struct{ line, off int }
+	var targets []target
+	lines := bytes.Split(data, []byte("\n"))
+	for i, line := range lines {
+		for _, off := range flipTargets(line) {
+			targets = append(targets, target{i, off})
+		}
+	}
+	if len(targets) == 0 {
 		return 0, fmt.Errorf("chaos: no result payloads found in %s", path)
 	}
 	flipped := 0
-	for _, pi := range rng.New(seed).Perm(len(offs)) {
+	for _, pi := range rng.New(seed).Perm(len(targets)) {
 		if flipped == n {
 			break
 		}
-		data[offs[pi]] ^= 0x01
+		line := lines[targets[pi].line]
+		line[targets[pi].off] ^= 0x01
+		// A frame is "%08x " + payload: re-seal the CRC over the payload.
+		copy(line, fmt.Sprintf("%08x", crc32.ChecksumIEEE(line[9:])))
 		flipped++
 	}
-	return flipped, os.WriteFile(path, data, 0o644)
+	return flipped, os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644)
 }
 
 // FlipJournalLines corrupts up to n non-final lines of the framed

@@ -30,7 +30,7 @@ type Config struct {
 	PanicRate float64
 
 	// WriteFailRate / PartialWriteRate / SyncFailRate apply per
-	// journal-or-snapshot file operation; a partial write delivers the
+	// journal-or-image file operation; a partial write delivers the
 	// first half of the buffer and then fails, leaving a torn line for
 	// replay to tolerate.
 	WriteFailRate    float64
@@ -38,14 +38,14 @@ type Config struct {
 	SyncFailRate     float64
 
 	// RenameFailRate applies to the atomic-replace rename that commits a
-	// snapshot or journal rotation.
+	// image or journal rotation.
 	RenameFailRate float64
 
 	// FlipRate is the lying-disk fault: the write succeeds from the
 	// caller's point of view — full length, no error, sync fine — but
 	// one byte of the buffer is silently flipped on its way down. No
 	// error path fires, so only content self-checks (the journal's
-	// per-record CRC, the snapshot's content digests) can catch it.
+	// per-record CRC, the entries' content digests) can catch it.
 	FlipRate float64
 }
 

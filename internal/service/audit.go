@@ -8,7 +8,7 @@ package service
 // to undo. The scrubber walks the cache and journal in deterministic
 // seeded order (internal/audit): a cheap pass re-hashes each entry
 // against its stored SHA-256 digest (catches at-rest bitrot in the
-// snapshot, journal, and replication log), and an expensive pass
+// image, journal, and replication log), and an expensive pass
 // re-executes a rotating sampled fraction of entries through the
 // simulator and compares bytes (catches logic/state corruption a
 // digest cannot). A mismatch quarantines the entry (one JSON line in
@@ -27,7 +27,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -251,9 +250,9 @@ func (s *Server) ScrubPass() AuditPassReport {
 
 // scrubJournal sweeps the on-disk journal for records whose frame CRC
 // no longer verifies — at-rest corruption the replay path would only
-// discover at the next boot. Repair is journal rotation: every settled
-// record is snapshot-covered and every live job is re-written from the
-// in-memory job table, so the corrupt lines are simply dropped.
+// discover at the next boot. Repair is compaction: every settled result
+// is image-covered and every live job is re-written from the in-memory
+// job table, so the corrupt lines are simply dropped.
 func (s *Server) scrubJournal(pass uint64, rep *AuditPassReport) {
 	if s.cfg.JournalPath == "" {
 		return
@@ -264,38 +263,18 @@ func (s *Server) scrubJournal(pass uint64, rep *AuditPassReport) {
 	if !live {
 		return // degraded or closed: no journal to scrub or repair
 	}
-	f, err := s.cfg.FS.Open(s.cfg.JournalPath)
+	// A bad final line is the signature of a crash (or a racing append)
+	// mid-write, not at-rest corruption; readFrames reports it as torn,
+	// not among the bad lines, as replay tolerates it.
+	ff, err := readFrames(s.cfg.FS, s.cfg.JournalPath)
 	if err != nil {
 		return
 	}
-	data, rerr := io.ReadAll(f)
-	f.Close()
-	if rerr != nil {
-		return
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	last := len(lines) - 1
-	for last >= 0 && len(lines[last]) == 0 {
-		last--
-	}
-	bad := 0
-	for i := 0; i <= last; i++ {
-		line := lines[i]
-		if len(line) == 0 {
-			continue
-		}
-		if _, ok, stale := parseFrame(line); !ok && !stale {
-			if i == last {
-				// A bad final line is the signature of a crash (or a racing
-				// append) mid-write, not at-rest corruption; replay already
-				// tolerates it as torn.
-				continue
-			}
-			bad++
-			s.auditQuarantine(audit.QuarantineRecord{
-				Reason: "journal-crc", Pass: pass, Source: "journal",
-			})
-		}
+	bad := len(ff.bad)
+	for range ff.bad {
+		s.auditQuarantine(audit.QuarantineRecord{
+			Reason: "journal-crc", Pass: pass, Source: "journal",
+		})
 	}
 	if bad == 0 {
 		return
@@ -361,7 +340,7 @@ func (s *Server) auditRepair(e CacheEntry, following bool) bool {
 		return false
 	}
 	if e.Cell == nil {
-		// Pre-audit snapshot entry: no spec to re-execute. The entry is
+		// Entry stored without its cell: no spec to re-execute. The entry is
 		// quarantined and the next submission recomputes it.
 		s.logger.Warn("quarantined entry carries no spec; dropped without repair", "key", e.Key)
 		return false
@@ -386,7 +365,7 @@ func (s *Server) auditRepair(e CacheEntry, following bool) bool {
 }
 
 // auditQuarantinePath is where quarantine records land: next to the
-// journal when there is one, else next to the snapshot, else nowhere
+// journal when there is one, else next to the image, else nowhere
 // (a diskless daemon still quarantines in-memory state, just without
 // the paper trail).
 func (s *Server) auditQuarantinePath() string {

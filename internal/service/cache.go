@@ -5,18 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"os"
 	"sync"
 )
-
-// ErrCorruptSnapshot reports that a snapshot file exists but does not
-// decode. The server quarantines such a file (rename to
-// <path>.corrupt-<timestamp>) and starts with an empty cache rather
-// than refusing to boot.
-var ErrCorruptSnapshot = errors.New("service: corrupt cache snapshot")
 
 // CacheEntry is one cached cell result: the canonical record JSON bytes
 // under the cell's content address. Results are stored and served as raw
@@ -29,15 +19,15 @@ type CacheEntry struct {
 	SimCycles int64           `json:"simCycles"`
 	Result    json.RawMessage `json:"result"`
 	// Digest is the hex SHA-256 of the result bytes, computed when the
-	// entry is stored. It rides in snapshots and done records, and every
-	// cache read re-checks it, so no node serves bytes other than the
-	// ones that were computed.
+	// entry is stored. It rides in done records (in the journal, the
+	// image and the replication stream), and every cache read re-checks
+	// it, so no node serves bytes other than the ones that were computed.
 	Digest string `json:"digest,omitempty"`
 
 	// Cell is the canonical spec the result was computed from. It lets
 	// the audit scrubber fully re-execute a sampled entry (and repair a
-	// quarantined one) without consulting the journal. Entries loaded
-	// from pre-audit snapshots have no Cell and get digest-only scrubs.
+	// quarantined one) without consulting the journal. Entries stored
+	// without one get digest-only scrubs.
 	Cell *canonicalCell `json:"cell,omitempty"`
 }
 
@@ -48,9 +38,10 @@ func ResultDigest(result []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Cache is a bounded LRU of cell results, safe for concurrent use, with
-// JSON snapshot persistence (written on daemon shutdown, reloaded on
-// start) so a restarted asfd keeps its accumulated sweep results.
+// Cache is a bounded LRU of cell results, safe for concurrent use. The
+// server persists it as the done frames of its image (see
+// Config.SnapshotPath), so a restarted asfd keeps its accumulated sweep
+// results.
 //
 // Every read through Get or peek re-hashes the entry's result bytes
 // against its digest under the cache lock. An entry corrupted at rest or
@@ -217,8 +208,8 @@ func (c *Cache) Keys() []string {
 }
 
 // Entries returns a copy of every cached entry, least recently used
-// first (the same order snapshots use, so a reload or a replication
-// sync rebuilds the same LRU order).
+// first (the order of an image's done frames, so a reload or a
+// replication sync rebuilds the same LRU order).
 func (c *Cache) Entries() []CacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -241,93 +232,4 @@ func (c *Cache) Counters() (hits, misses, evictions uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions
-}
-
-// snapshotFile is the on-disk schema. Entries are ordered least to most
-// recently used so a reload rebuilds the same LRU order.
-type snapshotFile struct {
-	SchemaVersion int          `json:"schemaVersion"`
-	Entries       []CacheEntry `json:"entries"`
-}
-
-// WriteSnapshot serializes the cache contents to w.
-func (c *Cache) WriteSnapshot(w io.Writer) error {
-	c.mu.Lock()
-	f := snapshotFile{SchemaVersion: keySchemaVersion}
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		f.Entries = append(f.Entries, *el.Value.(*CacheEntry))
-	}
-	c.mu.Unlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(&f)
-}
-
-// ReadSnapshot loads entries from a snapshot produced by WriteSnapshot,
-// subject to the current size bound. A snapshot written under a
-// different key schema is ignored wholesale: its addresses no longer
-// name the same computations.
-func (c *Cache) ReadSnapshot(r io.Reader) error {
-	var f snapshotFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	if f.SchemaVersion != keySchemaVersion {
-		return nil
-	}
-	for i := range f.Entries {
-		e := f.Entries[i]
-		c.Put(&e)
-	}
-	return nil
-}
-
-// SaveFile writes the snapshot atomically (temp file + rename) to path.
-func (c *Cache) SaveFile(path string) error { return c.SaveFileFS(OSFS{}, path) }
-
-// SaveFileFS is SaveFile over an explicit filesystem (the server passes
-// its configured FS so the chaos harness can inject write failures).
-// The temp file is fsync'd before the rename, so a crash straddling the
-// save leaves either the previous snapshot or the new one, never a
-// truncated file.
-func (c *Cache) SaveFileFS(fsys FS, path string) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteSnapshot(f); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.Rename(tmp, path)
-}
-
-// LoadFile reads a snapshot from path; a missing file is not an error
-// (first boot).
-func (c *Cache) LoadFile(path string) error { return c.LoadFileFS(OSFS{}, path) }
-
-// LoadFileFS is LoadFile over an explicit filesystem. A decode failure
-// is reported as (a wrap of) ErrCorruptSnapshot so the caller can
-// quarantine the file. Entries are not re-hashed here: every read
-// verifies them, and the scrubber walks them.
-func (c *Cache) LoadFileFS(fsys FS, path string) error {
-	f, err := fsys.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	return c.ReadSnapshot(f)
 }

@@ -1,10 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"path/filepath"
 	"testing"
 )
 
@@ -49,64 +46,5 @@ func TestCacheKeepsFirstBytes(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Fatalf("duplicate key grew the cache to %d", c.Len())
-	}
-}
-
-func TestCacheSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cache.json")
-
-	c := NewCache(8)
-	for i := 0; i < 5; i++ {
-		c.Put(entry(fmt.Sprintf("k%d", i), fmt.Sprintf(`{"i":%d}`, i)))
-	}
-	if err := c.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	r := NewCache(8)
-	if err := r.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 5 {
-		t.Fatalf("reloaded %d entries, want 5", r.Len())
-	}
-	for i := 0; i < 5; i++ {
-		e, ok := r.Get(fmt.Sprintf("k%d", i))
-		if !ok {
-			t.Fatalf("k%d missing after reload", i)
-		}
-		if want := fmt.Sprintf(`{"i":%d}`, i); string(e.Result) != want {
-			t.Fatalf("k%d bytes = %s, want %s", i, e.Result, want)
-		}
-	}
-
-	// Missing file: clean first boot, not an error.
-	if err := NewCache(8).LoadFile(filepath.Join(dir, "absent.json")); err != nil {
-		t.Fatalf("missing snapshot errored: %v", err)
-	}
-}
-
-// TestCacheSnapshotSchemaGuard: a snapshot from a different key schema
-// is ignored wholesale — its addresses name different computations.
-func TestCacheSnapshotSchemaGuard(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewCache(4)
-	c.Put(entry("k", `{}`))
-	if err := c.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	stale := bytes.Replace(buf.Bytes(),
-		[]byte(fmt.Sprintf(`"schemaVersion":%d`, keySchemaVersion)),
-		[]byte(`"schemaVersion":999`), 1)
-	if bytes.Equal(stale, buf.Bytes()) {
-		t.Fatal("test did not rewrite the schema version")
-	}
-	r := NewCache(4)
-	if err := r.ReadSnapshot(bytes.NewReader(stale)); err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 0 {
-		t.Fatalf("stale-schema snapshot loaded %d entries, want 0", r.Len())
 	}
 }

@@ -16,7 +16,7 @@ type File interface {
 }
 
 // FS abstracts the handful of filesystem operations behind the journal
-// and the cache snapshot. Production uses OSFS; the chaos harness wraps
+// and the image. Production uses OSFS; the chaos harness wraps
 // it with seeded write/sync/rename failures to prove the daemon degrades
 // instead of crashing (internal/chaos.FaultyFS).
 type FS interface {

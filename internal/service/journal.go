@@ -1,24 +1,28 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"os"
+	"io"
 	"strconv"
 	"sync"
 )
 
-// journalSchemaVersion guards the journal's record encoding the same way
-// keySchemaVersion guards the cache: a journal written under a different
-// schema is ignored wholesale on replay (its specs may no longer name
-// the same computations), never misinterpreted. Version 2 added
-// per-record CRC32 framing and the propagated deadline; version 3 made
-// done records carry the settled cache entry and stamped every record
-// with its replication sequence.
+// journalSchemaVersion versions the frame's record encoding. Version 2
+// added per-record CRC32 framing and the propagated deadline; version 3
+// made done records carry the settled cache entry and stamped every
+// record with its replication sequence.
 const journalSchemaVersion = 3
+
+// frameSchema is the schema stamp on every frame. It folds in both the
+// record encoding's version and the cell key's (keySchemaVersion), so a
+// bump of either makes every persisted or streamed frame stale: the
+// image, the journal and a replication batch written under the old
+// schema are ignored wholesale (their addresses may no longer name the
+// same computations), never misinterpreted.
+const frameSchema = journalSchemaVersion*100 + keySchemaVersion
 
 // journalOp is one job lifecycle transition.
 type journalOp string
@@ -30,8 +34,9 @@ const (
 	opFailed    journalOp = "failed"
 	opCanceled  journalOp = "canceled"
 
-	// opCheckpoint closes a replication bootstrap batch; its Seq is the
-	// stream sequence the follower resumes from. It is never journaled.
+	// opCheckpoint closes an image (a bootstrap batch or the file at
+	// SnapshotPath); its Seq is the stream sequence a follower resumes
+	// from. It is never journaled.
 	opCheckpoint journalOp = "checkpoint"
 )
 
@@ -49,7 +54,7 @@ func (op journalOp) terminal() bool {
 // digest — so replay and followers rebuild the cache from the log alone.
 type journalRecord struct {
 	Schema   int            `json:"schema"`
-	Seq      uint64         `json:"seq,omitempty"` // replication sequence; 0 on compaction and bootstrap records
+	Seq      uint64         `json:"seq,omitempty"` // replication sequence; 0 on compacted records (images, rotated journals)
 	Op       journalOp      `json:"op"`
 	ID       string         `json:"id"`
 	Key      string         `json:"key,omitempty"`
@@ -64,8 +69,8 @@ type journalRecord struct {
 	Result    json.RawMessage `json:"result,omitempty"` // always the payload's last field (see frameRecord)
 }
 
-// doneRecord is the record that settles job id (empty in a bootstrap
-// batch) with cache entry e. Its Result shares e's bytes.
+// doneRecord is the record that settles job id (empty in an image) with
+// cache entry e. Its Result shares e's bytes.
 func doneRecord(id string, e *CacheEntry) journalRecord {
 	return journalRecord{
 		Op: opDone, ID: id, Key: e.Key, Cell: e.Cell,
@@ -97,7 +102,7 @@ func (f frame) appendTo(b []byte) []byte {
 // record before applying it. A record is encoded once: the same frame is
 // appended to the disk journal and served to followers.
 func frameRecord(rec journalRecord) (frame, error) {
-	rec.Schema = journalSchemaVersion
+	rec.Schema = frameSchema
 	f := frame{}
 	if len(rec.Result) > 0 {
 		f.result = rec.Result
@@ -120,13 +125,32 @@ func frameRecord(rec journalRecord) (frame, error) {
 	return f, nil
 }
 
+// frameAll encodes recs as consecutive frame lines.
+func frameAll(recs []journalRecord) ([]byte, error) {
+	var body []byte
+	for _, rec := range recs {
+		f, err := frameRecord(rec)
+		if err != nil {
+			return nil, err
+		}
+		body = f.appendTo(body)
+	}
+	return body, nil
+}
+
+// closesImage reports whether recs end with the checkpoint that closes
+// an image. Without it the image is garbage or a copy cut short.
+func closesImage(recs []journalRecord) bool {
+	return len(recs) > 0 && recs[len(recs)-1].Op == opCheckpoint
+}
+
 // parseFrame decodes one journal line produced by frameRecord. ok is
 // false when the frame is malformed or the CRC does not match the
 // payload — the caller decides whether that means a torn tail or a
 // mid-file corruption to quarantine. stale is true when the line is a
-// well-formed record written under a different journal schema (including
-// pre-framing schema-1 journals, which were bare JSON lines): such
-// journals are ignored wholesale, never treated as corruption.
+// well-formed record stamped with another frameSchema (including
+// pre-framing schema-1 journals, which were bare JSON lines): such files
+// are ignored wholesale, never treated as corruption.
 func parseFrame(line []byte) (rec journalRecord, ok, stale bool) {
 	if len(line) > 9 && line[8] == ' ' {
 		if crc, err := strconv.ParseUint(string(line[:8]), 16, 32); err == nil {
@@ -137,7 +161,7 @@ func parseFrame(line []byte) (rec journalRecord, ok, stale bool) {
 			if json.Unmarshal(payload, &rec) != nil {
 				return rec, false, false
 			}
-			if rec.Schema != journalSchemaVersion {
+			if rec.Schema != frameSchema {
 				return rec, false, true
 			}
 			return rec, true, false
@@ -146,39 +170,33 @@ func parseFrame(line []byte) (rec journalRecord, ok, stale bool) {
 	// Not framed. A bare JSON record is an old-schema journal (framing
 	// arrived with schema 2); anything else is corruption.
 	var old journalRecord
-	if json.Unmarshal(line, &old) == nil && old.Schema != 0 && old.Schema != journalSchemaVersion {
+	if json.Unmarshal(line, &old) == nil && old.Schema != 0 && old.Schema != frameSchema {
 		return rec, false, true
 	}
 	return rec, false, false
 }
 
 // decodeFrames decodes a replication batch — the frame lines of a stream
-// or bootstrap response — through parseFrame. Any line that fails its
+// or bootstrap response — through scanFrames. Any line that fails its
 // CRC, or belongs to another schema, refuses the whole batch, as does a
 // final line cut short of its newline.
 func decodeFrames(body []byte) ([]journalRecord, error) {
-	var recs []journalRecord
-	for len(body) > 0 {
-		line, rest, ok := bytes.Cut(body, []byte{'\n'})
-		if !ok {
-			return nil, fmt.Errorf("%w: frame %d is torn", ErrReplCorrupt, len(recs))
-		}
-		rec, ok, _ := parseFrame(line)
-		if !ok {
-			return nil, fmt.Errorf("%w: frame %d fails its CRC", ErrReplCorrupt, len(recs))
-		}
-		recs = append(recs, rec)
-		body = rest
+	if len(body) > 0 && body[len(body)-1] != '\n' {
+		return nil, fmt.Errorf("%w: the final frame is torn", ErrReplCorrupt)
 	}
-	return recs, nil
+	ff := scanFrames(body)
+	if ff.stale || ff.torn || len(ff.bad) > 0 {
+		return nil, fmt.Errorf("%w: a frame fails its CRC or schema", ErrReplCorrupt)
+	}
+	return ff.recs, nil
 }
 
 // Journal is the daemon's write-ahead log of job lifecycle records: an
 // append-only file of CRC-framed JSON lines, fsync'd after every append,
-// rotated atomically (temp file + rename) when its completed records
-// have been compacted into the cache snapshot. Appends are serialized by
-// the journal's own mutex; the fsync happens inside the critical section
-// so the on-disk record order matches the append order.
+// rotated atomically down to the live jobs when the server compacts its
+// state into the image. Appends are serialized by the journal's own
+// mutex; the fsync happens inside the critical section so the on-disk
+// record order matches the append order.
 type Journal struct {
 	mu   sync.Mutex
 	fs   FS
@@ -189,7 +207,7 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if absent) the journal at path for
-// appending. Replay the existing contents first with ReplayJournal:
+// appending. Replay the existing contents first (readFrames, foldJobs):
 // opening is cheap and does not read the file.
 func OpenJournal(fsys FS, path string) (*Journal, error) {
 	f, err := fsys.Append(path)
@@ -232,54 +250,21 @@ func (j *Journal) Records() uint64 {
 	return j.records
 }
 
-// Rotate atomically replaces the journal with one containing only the
-// given live records — called right after the cache snapshot is written,
-// at which point every completed job's result is snapshot-covered and
-// its records are dead weight. The new journal is written to a temp
-// file, fsync'd, and renamed over the old one; a crash at any point
-// leaves either the old journal or the new one, never a torn mix.
-func (j *Journal) Rotate(live []journalRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// rotateLocked atomically replaces the journal with one holding only the
+// given live records, and reopens it so later appends land in the new
+// file. The server calls it from its compaction, with the image already
+// written, so every finished job's result is image-covered and its
+// records are dead weight. Caller holds j.mu, from before the image's
+// contents were gathered, so no append can fall between the two.
+func (j *Journal) rotateLocked(live []journalRecord) error {
 	if j.f == nil {
 		return fmt.Errorf("service: journal is closed")
 	}
-
-	tmp := j.path + ".tmp"
-	f, err := j.fs.Create(tmp)
+	body, err := frameAll(live)
+	if err == nil {
+		err = writeFileAtomic(j.fs, j.path, body)
+	}
 	if err != nil {
-		return fmt.Errorf("service: journal rotate: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, rec := range live {
-		fr, err := frameRecord(rec)
-		if err != nil {
-			f.Close()
-			j.fs.Remove(tmp)
-			return fmt.Errorf("service: journal rotate: %w", err)
-		}
-		if _, err := w.Write(fr.appendTo(nil)); err != nil {
-			f.Close()
-			j.fs.Remove(tmp)
-			return fmt.Errorf("service: journal rotate: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		j.fs.Remove(tmp)
-		return fmt.Errorf("service: journal rotate: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		j.fs.Remove(tmp)
-		return fmt.Errorf("service: journal rotate: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		j.fs.Remove(tmp)
-		return fmt.Errorf("service: journal rotate: %w", err)
-	}
-	if err := j.fs.Rename(tmp, j.path); err != nil {
-		j.fs.Remove(tmp)
 		return fmt.Errorf("service: journal rotate: %w", err)
 	}
 
@@ -307,9 +292,113 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// replayedJob is the folded state of one job after reading the journal:
-// its latest lifecycle op plus the spec-bearing fields from whichever
-// records carried them, and the done record that settled it, if any.
+// writeFileAtomic replaces path with body: written to a temp file,
+// fsync'd, and renamed over path, so a crash at any point leaves either
+// the old file or the new one, never a torn mix. The image and the
+// journal rotation both commit through it.
+func writeFileAtomic(fsys FS, path string, body []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(body)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+	}
+	return err
+}
+
+// frameFile is a body of frame lines as scanFrames found it.
+type frameFile struct {
+	recs  []journalRecord // records whose frames verify, in file order
+	bad   [][]byte        // mid-file lines that fail their CRC: a good frame follows each
+	torn  bool            // the final line fails: a crash cut the last append short
+	stale bool            // written under another frameSchema: ignored wholesale
+}
+
+// scanFrames decodes body line by line through parseFrame — the one
+// scanner behind the image, the journal, the journal scrub and
+// replication batches. Body that is stamped with another schema scans
+// as stale and empty, never as corruption.
+func scanFrames(body []byte) frameFile {
+	var ff frameFile
+	lastBad := false
+	for len(body) > 0 {
+		line, rest, _ := bytes.Cut(body, []byte{'\n'})
+		body = rest
+		if len(line) == 0 {
+			continue
+		}
+		rec, ok, stale := parseFrame(line)
+		if stale {
+			return frameFile{stale: true}
+		}
+		if lastBad = !ok; lastBad {
+			ff.bad = append(ff.bad, line)
+			continue
+		}
+		ff.recs = append(ff.recs, rec)
+	}
+	// The last bad line, when nothing good follows it, is the classic
+	// crash-torn tail; any bad lines before it are mid-file corruption.
+	if lastBad {
+		ff.torn = true
+		ff.bad = ff.bad[:len(ff.bad)-1]
+	}
+	return ff
+}
+
+// readFrames reads and scans the frame file at path. An open error
+// (os.IsNotExist on first boot) is returned as is.
+func readFrames(fsys FS, path string) (frameFile, error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return frameFile{}, err
+	}
+	data, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		return frameFile{}, err
+	}
+	return scanFrames(data), nil
+}
+
+// quarantineLines appends corrupt frame lines to <path>.quarantine, so
+// the bytes are preserved for post-mortem, never replayed and never
+// destroyed.
+func quarantineLines(fsys FS, path string, lines [][]byte) error {
+	if len(lines) == 0 {
+		return nil
+	}
+	var buf []byte
+	for _, line := range lines {
+		buf = append(append(buf, line...), '\n')
+	}
+	q, err := fsys.Append(path + ".quarantine")
+	if err != nil {
+		return fmt.Errorf("service: opening quarantine: %w", err)
+	}
+	defer q.Close()
+	if _, err := q.Write(buf); err != nil {
+		return fmt.Errorf("service: writing quarantine: %w", err)
+	}
+	return nil
+}
+
+// replayedJob is the folded state of one job after reading the image and
+// the journal: its latest lifecycle op plus the spec-bearing fields from
+// whichever records carried them, and the done record that settled it,
+// if any.
 type replayedJob struct {
 	ID       string
 	Key      string
@@ -321,73 +410,16 @@ type replayedJob struct {
 	Done     *journalRecord
 }
 
-// ReplayJournal reads the journal at path and folds its records into
-// per-job states, in first-submission order. A missing file is an empty
-// journal (first boot). Each record's CRC is verified: a bad final line —
-// the signature of a crash mid-append — is tolerated and counted as
-// torn; bad records anywhere else (a flipped bit, a torn middle) are
-// quarantined record-by-record into <path>.quarantine and counted, and
-// the surviving records are still replayed. A journal written under a
-// different schema version is ignored wholesale, like the snapshot.
-func ReplayJournal(fsys FS, path string) (jobs []*replayedJob, torn, quarantined int, err error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, 0, nil
-		}
-		return nil, 0, 0, fmt.Errorf("service: opening journal for replay: %w", err)
-	}
-	defer f.Close()
-
-	var quarantine File
-	defer func() {
-		if quarantine != nil {
-			quarantine.Close()
-		}
-	}()
-	// pendingBad holds undecodable lines whose classification depends on
-	// what follows: a good record after them proves mid-file corruption
-	// (quarantine); end-of-file leaves the last one as a torn tail.
-	var pendingBad [][]byte
-	flushBad := func() error {
-		if len(pendingBad) == 0 {
-			return nil
-		}
-		if quarantine == nil {
-			q, qerr := fsys.Append(path + ".quarantine")
-			if qerr != nil {
-				return fmt.Errorf("service: opening journal quarantine: %w", qerr)
-			}
-			quarantine = q
-		}
-		for _, raw := range pendingBad {
-			if _, werr := quarantine.Write(append(raw, '\n')); werr != nil {
-				return fmt.Errorf("service: writing journal quarantine: %w", werr)
-			}
-		}
-		quarantined += len(pendingBad)
-		pendingBad = pendingBad[:0]
-		return nil
-	}
-
+// foldJobs folds lifecycle records into per-job states, in
+// first-submission order. Records without a job ID — an image's cache
+// entries and its closing checkpoint — belong to no job and are skipped.
+func foldJobs(recs []journalRecord) []*replayedJob {
+	var jobs []*replayedJob
 	byID := make(map[string]*replayedJob)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+	for i := range recs {
+		rec := &recs[i]
+		if rec.ID == "" {
 			continue
-		}
-		rec, ok, stale := parseFrame(line)
-		if stale {
-			return nil, 0, 0, nil // stale schema: ignore wholesale, like the snapshot
-		}
-		if !ok {
-			pendingBad = append(pendingBad, bytes.Clone(line))
-			continue
-		}
-		if err := flushBad(); err != nil {
-			return nil, 0, quarantined, err
 		}
 		j, ok := byID[rec.ID]
 		if !ok {
@@ -412,20 +444,8 @@ func ReplayJournal(fsys FS, path string) (jobs []*replayedJob, torn, quarantined
 			j.Kind = rec.Kind
 		}
 		if rec.Op == opDone {
-			j.Done = &rec
+			j.Done = rec
 		}
 	}
-	if serr := sc.Err(); serr != nil {
-		return nil, 0, quarantined, fmt.Errorf("service: reading journal: %w", serr)
-	}
-	// Whatever is still pending at EOF: the last bad line is the classic
-	// crash-torn tail; any bad lines before it are mid-file corruption.
-	if n := len(pendingBad); n > 0 {
-		torn = 1
-		pendingBad = pendingBad[:n-1]
-		if err := flushBad(); err != nil {
-			return nil, torn, quarantined, err
-		}
-	}
-	return jobs, torn, quarantined, nil
+	return jobs
 }

@@ -34,6 +34,22 @@ func mustFrame(t *testing.T, rec journalRecord) frame {
 	return f
 }
 
+// replayJournal reads and folds the journal at path, quarantining its
+// mid-file bad lines, as startup does when there is no image.
+func replayJournal(path string) (jobs []*replayedJob, torn, quarantined int, err error) {
+	ff, err := readFrames(OSFS{}, path)
+	if os.IsNotExist(err) {
+		return nil, 0, 0, nil
+	}
+	if err == nil {
+		err = quarantineLines(OSFS{}, path, ff.bad)
+	}
+	if ff.torn {
+		torn = 1
+	}
+	return foldJobs(ff.recs), torn, len(ff.bad), err
+}
+
 // frameLine is one CRC-framed journal line, newline included.
 func frameLine(t *testing.T, rec journalRecord) []byte {
 	t.Helper()
@@ -67,7 +83,7 @@ func TestJournalAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jobs, torn, quarantined, err := ReplayJournal(OSFS{}, path)
+	jobs, torn, quarantined, err := replayJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +113,7 @@ func TestJournalAppendReplay(t *testing.T) {
 }
 
 func TestJournalMissingFileIsEmpty(t *testing.T) {
-	jobs, torn, quarantined, err := ReplayJournal(OSFS{}, filepath.Join(t.TempDir(), "nope.wal"))
+	jobs, torn, quarantined, err := replayJournal(filepath.Join(t.TempDir(), "nope.wal"))
 	if err != nil || torn != 0 || quarantined != 0 || len(jobs) != 0 {
 		t.Fatalf("missing journal: jobs=%d torn=%d quarantined=%d err=%v", len(jobs), torn, quarantined, err)
 	}
@@ -113,7 +129,7 @@ func TestJournalDeadlineRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, line, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jobs, _, _, err := ReplayJournal(OSFS{}, path)
+	jobs, _, _, err := replayJournal(path)
 	if err != nil || len(jobs) != 1 {
 		t.Fatalf("jobs=%d err=%v", len(jobs), err)
 	}
@@ -131,7 +147,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err := os.WriteFile(path, append(line, torn2[:len(torn2)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jobs, torn, quarantined, err := ReplayJournal(OSFS{}, path)
+	jobs, torn, quarantined, err := replayJournal(path)
 	if err != nil {
 		t.Fatalf("torn tail should be tolerated, got %v", err)
 	}
@@ -171,7 +187,7 @@ func TestJournalCorruptMidFileQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jobs, torn, quarantined, err := ReplayJournal(OSFS{}, path)
+	jobs, torn, quarantined, err := replayJournal(path)
 	if err != nil {
 		t.Fatalf("mid-file corruption should quarantine, not fail replay: %v", err)
 	}
@@ -210,7 +226,7 @@ func TestJournalCorruptRunBeforeTornTail(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jobs, torn, quarantined, err := ReplayJournal(OSFS{}, path)
+	jobs, torn, quarantined, err := replayJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +238,14 @@ func TestJournalCorruptRunBeforeTornTail(t *testing.T) {
 func TestJournalSchemaMismatchIgnoredWholesale(t *testing.T) {
 	// A framed record under a future schema version, CRC intact.
 	path := filepath.Join(t.TempDir(), "journal.wal")
-	payload, _ := json.Marshal(journalRecord{Schema: journalSchemaVersion + 1, Op: opSubmitted, ID: "job-000000"})
+	payload, _ := json.Marshal(journalRecord{Schema: frameSchema + 1, Op: opSubmitted, ID: "job-000000"})
 	line := fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE(payload))
 	line = append(line, payload...)
 	line = append(line, '\n')
 	if err := os.WriteFile(path, line, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jobs, torn, quarantined, err := ReplayJournal(OSFS{}, path)
+	jobs, torn, quarantined, err := replayJournal(path)
 	if err != nil || torn != 0 || quarantined != 0 || len(jobs) != 0 {
 		t.Fatalf("stale schema: jobs=%d torn=%d quarantined=%d err=%v (want all zero)", len(jobs), torn, quarantined, err)
 	}
@@ -241,7 +257,7 @@ func TestJournalSchemaMismatchIgnoredWholesale(t *testing.T) {
 	if err := os.WriteFile(old, append(bare, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jobs, torn, quarantined, err = ReplayJournal(OSFS{}, old)
+	jobs, torn, quarantined, err = replayJournal(old)
 	if err != nil || torn != 0 || quarantined != 0 || len(jobs) != 0 {
 		t.Fatalf("schema-1 journal: jobs=%d torn=%d quarantined=%d err=%v (want all zero)", len(jobs), torn, quarantined, err)
 	}
@@ -265,7 +281,10 @@ func TestJournalRotate(t *testing.T) {
 	}
 
 	live := []journalRecord{{Op: opSubmitted, ID: "job-000007", Key: "k7", Cell: &cell}}
-	if err := j.Rotate(live); err != nil {
+	j.mu.Lock()
+	err = j.rotateLocked(live)
+	j.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Appends after rotation land in the rotated file.
@@ -274,7 +293,7 @@ func TestJournalRotate(t *testing.T) {
 	}
 	j.Close()
 
-	jobs, torn, quarantined, err := ReplayJournal(OSFS{}, path)
+	jobs, torn, quarantined, err := replayJournal(path)
 	if err != nil || torn != 0 || quarantined != 0 {
 		t.Fatalf("replay after rotate: torn=%d quarantined=%d err=%v", torn, quarantined, err)
 	}
@@ -296,7 +315,7 @@ func TestDoneRecordCarriesEntry(t *testing.T) {
 	rec.Seq = 9
 
 	line := frameLine(t, rec)
-	rec.Schema = journalSchemaVersion
+	rec.Schema = frameSchema
 	want, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,8 @@ import (
 
 // keySchemaVersion is bumped whenever the canonical cell encoding below
 // changes meaning, invalidating every previously persisted cache entry
-// (a stale snapshot must never serve a result for a different run).
+// (a stale image must never serve a result for a different run). It is
+// folded into frameSchema, so a bump makes every persisted frame stale.
 const keySchemaVersion = 1
 
 // canonicalCell is the canonical wire form a cell key is hashed from.

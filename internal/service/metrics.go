@@ -31,15 +31,15 @@ type Metrics struct {
 	breakerTripped  uint64 // content addresses whose failure streak tripped the breaker
 	breakerRejected uint64 // submissions refused with 422 (poisoned content address)
 
-	journalRotations    uint64 // journal compactions (startup + each snapshot flush)
+	journalRotations    uint64 // journal compactions (startup + each image write)
 	recoveredReenqueued uint64 // journaled jobs re-enqueued on startup (never reached done)
-	recoveredFromCache  uint64 // journaled done jobs served from the reloaded snapshot
+	recoveredFromCache  uint64 // replayed done jobs settled from their done record
 	recoveredTerminal   uint64 // journaled failed/canceled jobs re-registered terminal
 	journalTornRecords  uint64 // torn tail lines tolerated during replay (crash mid-append)
-	snapshotWrites      uint64 // cache snapshots written (periodic flush + shutdown)
-	snapshotQuarantines uint64 // corrupt snapshots renamed aside at startup
+	snapshotWrites      uint64 // images written (periodic + shutdown + startup compaction)
+	snapshotQuarantines uint64 // whole files set aside at startup (incomplete image, unreadable journal)
 
-	journalQuarantinedRecords uint64 // mid-file corrupt journal records quarantined during replay
+	journalQuarantinedRecords uint64 // mid-file corrupt frames (journal or image) quarantined during replay
 
 	replFramesSent       uint64 // replication frames served to followers
 	replFramesApplied    uint64 // replication frames verified and applied (follower side)
@@ -201,7 +201,7 @@ func (m *Metrics) ReplCorruptFrames() uint64 {
 }
 
 // JournalQuarantinedRecords returns the count of mid-file corrupt
-// journal records quarantined during replay.
+// frames (journal or image) quarantined during replay.
 func (m *Metrics) JournalQuarantinedRecords() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -294,9 +294,9 @@ type MetricsSnapshot struct {
 	SnapshotWrites      uint64 `json:"snapshotWrites"`
 	SnapshotQuarantines uint64 `json:"snapshotQuarantines"`
 
-	// Integrity quarantines: individual journal records set aside by CRC
-	// framing replay (not whole-file quarantines, which
-	// snapshotQuarantines counts).
+	// Integrity quarantines: individual frames of the journal or the
+	// image set aside by CRC framing replay (not whole-file set-asides,
+	// which snapshotQuarantines counts).
 	JournalQuarantinedRecords uint64 `json:"journalQuarantinedRecords"`
 
 	// Replication plane. Role is "primary" or "follower";
@@ -332,7 +332,7 @@ type MetricsSnapshot struct {
 	PromotedReenqueued uint64 `json:"promotedReenqueued"`
 	PromotedShed       uint64 `json:"promotedShed"`
 
-	// Degraded mirrors /healthz: true once a journal or snapshot write
+	// Degraded mirrors /healthz: true once a journal or image write
 	// has failed and the daemon fell back to memory-only operation.
 	Degraded bool `json:"degraded"`
 

@@ -27,7 +27,7 @@ func KeySchemaVersion() int { return keySchemaVersion }
 //	journal      one fsync'd journal append
 //	execute      the simulation itself (machine acquire + run)
 //	respond      GET /v1/jobs/{id} render time
-//	snapshot     one cache snapshot flush + journal compaction
+//	snapshot     one compaction: image write + journal rotation
 //
 // Every histogram is lock-free and allocation-free (obs.Hist), so the
 // stages are recorded unconditionally — tracing on or off.
@@ -67,7 +67,7 @@ func (s *Server) span(trace, name string, start time.Time, d time.Duration, attr
 	s.tracer.Record(trace, name, start, start.Add(d), attrs...)
 }
 
-// serverTrace groups spans with no request context (snapshot flushes,
+// serverTrace groups spans with no request context (compactions,
 // recovery) under one well-known pseudo-trace ID.
 const serverTrace = "server"
 

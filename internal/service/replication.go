@@ -214,36 +214,14 @@ func (s *Server) replicationLagLocked() int64 {
 	return int64(s.replPrimaryNext - s.replNextApply)
 }
 
-// bootstrapBatch assembles the GET /v1/replication/snapshot body: a done
-// frame for every cache entry in LRU order, a submitted frame for every
-// live job, and a closing checkpoint frame whose Seq is the stream
-// sequence to resume from. The resume sequence is read first, so a
-// record landing meanwhile is both in the batch and re-streamed —
-// applying it twice is idempotent.
+// bootstrapBatch assembles the GET /v1/replication/snapshot body: the
+// image's frames, the same bytes Persist writes to SnapshotPath.
 func (s *Server) bootstrapBatch() (body []byte, entries, jobs int, err error) {
-	resume := s.repl.nextSeq()
-	var recs []journalRecord
-	for _, e := range s.cache.Entries() {
-		recs = append(recs, doneRecord("", &e))
-	}
-	entries = len(recs)
 	s.mu.Lock()
-	for _, id := range s.order {
-		if job, ok := s.jobs[id]; ok && !job.State.terminal() {
-			recs = append(recs, submittedRecord(job))
-		}
-	}
+	im := s.imageLocked()
 	s.mu.Unlock()
-	jobs = len(recs) - entries
-	recs = append(recs, journalRecord{Op: opCheckpoint, Seq: resume})
-	for _, rec := range recs {
-		f, ferr := frameRecord(rec)
-		if ferr != nil {
-			return nil, 0, 0, ferr
-		}
-		body = f.appendTo(body)
-	}
-	return body, entries, jobs, nil
+	body, err = im.frames()
+	return body, len(im.entries), len(im.live), err
 }
 
 // settle stores a done record's cache entry, provided its result bytes
@@ -255,8 +233,7 @@ func (s *Server) settle(rec journalRecord) (*CacheEntry, bool) {
 	if rec.Digest == "" || ResultDigest(rec.Result) != rec.Digest {
 		return nil, false
 	}
-	e := &CacheEntry{Key: rec.Key, Workload: rec.Workload, SimCycles: rec.SimCycles,
-		Result: rec.Result, Digest: rec.Digest, Cell: rec.Cell}
+	e := rec.entry()
 	s.cache.Put(e)
 	if stored, ok := s.cache.peek(rec.Key); ok {
 		return stored, true
@@ -265,6 +242,12 @@ func (s *Server) settle(rec journalRecord) (*CacheEntry, bool) {
 	// evicted at once): store the verified entry.
 	s.cache.Put(e)
 	return e, true
+}
+
+// entry is the cache entry a done record carries.
+func (rec *journalRecord) entry() *CacheEntry {
+	return &CacheEntry{Key: rec.Key, Workload: rec.Workload, SimCycles: rec.SimCycles,
+		Result: rec.Result, Digest: rec.Digest, Cell: rec.Cell}
 }
 
 // ApplyReplicatedBootstrap verifies and applies a bootstrap batch on a
@@ -276,7 +259,7 @@ func (s *Server) settle(rec journalRecord) (*CacheEntry, bool) {
 // nothing. Returns the number of cache entries applied.
 func (s *Server) ApplyReplicatedBootstrap(body []byte) (int, error) {
 	recs, err := decodeFrames(body)
-	if err == nil && (len(recs) == 0 || recs[len(recs)-1].Op != opCheckpoint) {
+	if err == nil && !closesImage(recs) {
 		err = fmt.Errorf("%w: bootstrap batch has no closing checkpoint", ErrReplCorrupt)
 	}
 	if err != nil {

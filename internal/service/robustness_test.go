@@ -327,12 +327,12 @@ func TestSnapshotQuarantine(t *testing.T) {
 	}
 }
 
-// TestPeriodicSnapshotFlush: with SnapshotInterval set, the cache
-// snapshot appears on disk without any shutdown — the flush loop wrote
-// it — and a second daemon can serve from it.
+// TestPeriodicSnapshotFlush: with SnapshotInterval set, the image
+// appears on disk without any shutdown — the flush loop wrote it — and
+// holds the finished cell.
 func TestPeriodicSnapshotFlush(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "cache.json")
+	path := filepath.Join(dir, "cache.snap")
 	_, ts := newTestServer(t, Config{
 		Workers:          1,
 		SnapshotPath:     path,
@@ -347,8 +347,7 @@ func TestPeriodicSnapshotFlush(t *testing.T) {
 	// cache, so wait for the entry, not just the file.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		cache := NewCache(0)
-		if err := cache.LoadFileFS(OSFS{}, path); err == nil && cache.Len() == 1 {
+		if ff, err := readFrames(OSFS{}, path); err == nil && len(ff.recs) == 2 && ff.recs[0].Op == opDone {
 			return
 		}
 		if time.Now().After(deadline) {

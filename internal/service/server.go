@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -33,23 +34,28 @@ type Config struct {
 	// CacheEntries bounds the result cache (default 1024 entries).
 	CacheEntries int
 
-	// SnapshotPath, when set, persists the cache as JSON on Shutdown,
-	// every SnapshotInterval, and on journal compaction, and reloads it
-	// in New, so a restarted daemon keeps its sweep results. A corrupt
-	// snapshot is quarantined (renamed aside) rather than failing boot.
+	// SnapshotPath, when set, is where the server's compacted state — the
+	// image — is written on Shutdown, every SnapshotInterval, and on
+	// journal compaction, and reloaded in New, so a restarted daemon
+	// keeps its sweep results. The image is the same frame lines GET
+	// /v1/replication/snapshot serves: a done frame per cache entry in
+	// LRU order, a submitted frame per live job, and a closing
+	// checkpoint. An image without its checkpoint is set aside whole
+	// (renamed to <path>.corrupt-<unix>) rather than failing boot; a
+	// frame failing its CRC inside one is quarantined record by record.
 	SnapshotPath string
 
-	// SnapshotInterval, when positive and SnapshotPath is set, flushes
-	// the cache snapshot periodically (and compacts the journal against
-	// it), so a crash loses at most one interval of cache entries. Zero
-	// keeps the PR 3 behavior: snapshot only on graceful shutdown.
+	// SnapshotInterval, when positive and SnapshotPath is set, writes the
+	// image periodically (and compacts the journal against it), so a
+	// crash loses at most one interval of cache entries that no journal
+	// holds. Zero writes the image only on graceful shutdown.
 	SnapshotInterval time.Duration
 
 	// JournalPath, when set, enables the durable job journal: an
 	// append-only, fsync'd log of job lifecycle records. On startup the
-	// journal is replayed — jobs that never reached "done" are
-	// re-enqueued, completed ones are served from the reloaded cache —
-	// so a crash loses no accepted work. Empty disables journaling
+	// image's live jobs and the journal are replayed — jobs that never
+	// reached "done" are re-enqueued, completed ones are served from the
+	// cache — so a crash loses no accepted work. Empty disables journaling
 	// entirely (byte-for-byte the pre-journal service behavior).
 	JournalPath string
 
@@ -92,7 +98,7 @@ type Config struct {
 	// are never evicted.
 	JobRetention int
 
-	// FS is the filesystem behind the journal and snapshot (default the
+	// FS is the filesystem behind the journal and image (default the
 	// real one). The chaos harness injects write/sync/rename failures
 	// through it to prove the daemon degrades instead of crashing.
 	FS FS
@@ -121,7 +127,7 @@ type Config struct {
 	// worker pool, submissions refused with ErrFollowing (HTTP 503),
 	// state applied only through ApplyReplicatedBootstrap /
 	// ApplyReplicatedBatch until Promote starts the workers and opens
-	// the doors. The journal and snapshot paths still work — a follower
+	// the doors. The journal and image paths still work — a follower
 	// is crash-durable in its own right.
 	Following bool
 
@@ -313,10 +319,10 @@ func (e *PanicError) Error() string {
 type RecoveryStats struct {
 	Replayed    int // journaled jobs seen
 	Reenqueued  int // re-enqueued (never reached done, or a done record failed its digest)
-	FromCache   int // done jobs settled from their done record or the reloaded snapshot
+	FromCache   int // done jobs settled from their done record
 	Terminal    int // failed/canceled jobs re-registered terminal
 	Torn        int // torn tail records tolerated (crash mid-append)
-	Quarantined int // mid-file corrupt records quarantined during replay
+	Quarantined int // mid-file corrupt records of the image and the journal quarantined during replay
 }
 
 // Health is the GET /healthz document. Beyond liveness flags it carries
@@ -388,7 +394,7 @@ type Server struct {
 	kill     chan struct{}
 	killOnce sync.Once
 
-	// flushStop ends the periodic snapshot flusher; flushDone is closed
+	// flushStop ends the periodic image flusher; flushDone is closed
 	// when it has exited.
 	flushStop chan struct{}
 	flushOnce sync.Once
@@ -428,9 +434,9 @@ type Server struct {
 	replPrimaryNext uint64
 }
 
-// New builds a server, reloads the cache snapshot if configured,
-// replays the job journal (re-enqueueing unfinished work), and starts
-// the worker pool.
+// New builds a server, reloads the image and replays the job journal
+// if configured (re-enqueueing unfinished work), and starts the worker
+// pool.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -461,13 +467,7 @@ func New(cfg Config) (*Server, error) {
 		s.history = obs.NewHistory(historyGauges, cfg.HistoryCapacity, nil)
 	}
 
-	if cfg.SnapshotPath != "" {
-		if err := s.loadSnapshot(); err != nil {
-			return nil, err
-		}
-	}
-
-	reenqueue, err := s.replayJournal()
+	reenqueue, err := s.replay()
 	if err != nil {
 		return nil, err
 	}
@@ -512,45 +512,71 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// loadSnapshot reloads the cache snapshot, quarantining a corrupt file
-// (rename to <path>.corrupt-<timestamp>) instead of failing startup.
-// Entries are verified when read, not here.
-func (s *Server) loadSnapshot() error {
-	err := s.cache.LoadFileFS(s.cfg.FS, s.cfg.SnapshotPath)
-	if err == nil {
-		return nil
+// loadFrames reads the frame file at path for replay. A missing file,
+// or one stamped with another schema, reads as empty. A file that
+// cannot be read, or that complete rejects, is set aside whole — renamed
+// to <path>.corrupt-<unix> for post-mortem, counted — and replay goes on
+// without it; otherwise its mid-file bad lines are quarantined record by
+// record into <path>.quarantine.
+func (s *Server) loadFrames(path string, complete func(frameFile) bool) (frameFile, error) {
+	ff, err := readFrames(s.cfg.FS, path)
+	if os.IsNotExist(err) || ff.stale {
+		return frameFile{}, nil
 	}
-	if errors.Is(err, ErrCorruptSnapshot) {
-		quarantine := fmt.Sprintf("%s.corrupt-%d", s.cfg.SnapshotPath, time.Now().Unix())
-		if rerr := s.cfg.FS.Rename(s.cfg.SnapshotPath, quarantine); rerr != nil {
-			return fmt.Errorf("service: quarantining corrupt snapshot: %w", rerr)
+	if err == nil && complete(ff) {
+		if err = quarantineLines(s.cfg.FS, path, ff.bad); err == nil {
+			return ff, nil
 		}
-		s.metrics.incQuarantines()
-		return nil
 	}
-	return fmt.Errorf("service: loading cache snapshot: %w", err)
+	aside := fmt.Sprintf("%s.corrupt-%d", path, time.Now().Unix())
+	if rerr := s.cfg.FS.Rename(path, aside); rerr != nil {
+		return frameFile{}, fmt.Errorf("service: setting aside %s: %w", path, rerr)
+	}
+	s.metrics.incQuarantines()
+	return frameFile{}, nil
 }
 
-// replayJournal replays the configured journal, registering completed
-// jobs and returning the ones to re-enqueue, then opens the journal for
-// appending and compacts it down to the still-live records.
-func (s *Server) replayJournal() ([]*Job, error) {
+// replay rebuilds the server's state from disk: the image first, then
+// the journal, through one scanner and one per-job fold. The image's
+// cache entries go into the cache as they stand (every read verifies
+// their digests); an image without its closing checkpoint — garbage, or
+// a copy cut short — is set aside whole. Completed jobs are registered,
+// the unfinished ones returned for re-enqueueing; then the journal is
+// opened for appending and the state compacted.
+func (s *Server) replay() ([]*Job, error) {
+	var img frameFile
+	if s.cfg.SnapshotPath != "" {
+		var err error
+		img, err = s.loadFrames(s.cfg.SnapshotPath, func(ff frameFile) bool {
+			return !ff.torn && closesImage(ff.recs)
+		})
+		if err != nil {
+			return nil, err
+		}
+		for _, rec := range img.recs {
+			if rec.Op == opDone && rec.ID == "" {
+				s.cache.Put(rec.entry())
+			}
+		}
+	}
+	quarantined := len(img.bad)
 	if s.cfg.JournalPath == "" {
+		// Without a journal the image's live jobs are not resumed (their
+		// ends would have nowhere to be recorded); its entries are loaded.
+		s.recovery.Quarantined = quarantined
+		s.metrics.noteRecovery(0, 0, 0, 0, quarantined)
 		return nil, nil
 	}
-	replayed, torn, quarantined, err := ReplayJournal(s.cfg.FS, s.cfg.JournalPath)
+	jnl, err := s.loadFrames(s.cfg.JournalPath, func(frameFile) bool { return true })
 	if err != nil {
-		// A journal that cannot be read at all (I/O failure, unwritable
-		// quarantine) is set aside wholesale, like a corrupt snapshot;
-		// record-level corruption was already quarantined inside
-		// ReplayJournal and replay continued past it.
-		quarantine := fmt.Sprintf("%s.corrupt-%d", s.cfg.JournalPath, time.Now().Unix())
-		if rerr := s.cfg.FS.Rename(s.cfg.JournalPath, quarantine); rerr != nil {
-			return nil, fmt.Errorf("service: quarantining corrupt journal: %w", rerr)
-		}
-		s.metrics.incQuarantines()
-		replayed, torn = nil, 0
+		return nil, err
 	}
+	quarantined += len(jnl.bad)
+	torn := 0
+	if jnl.torn {
+		torn = 1
+	}
+	replayed := foldJobs(append(img.recs, jnl.recs...))
 
 	var reenqueue []*Job
 	var fromCache, terminal int
@@ -632,25 +658,16 @@ func (s *Server) replayJournal() ([]*Job, error) {
 	}
 	s.journal = j
 
-	// Startup compaction: everything terminal is covered by the cache /
-	// already reported; rewrite the journal down to the live set. Results
-	// settled from done records are written to the snapshot first, so
-	// compaction never drops the only durable copy.
-	if fromCache > 0 && s.cfg.SnapshotPath != "" {
-		if serr := s.cache.SaveFileFS(s.cfg.FS, s.cfg.SnapshotPath); serr != nil {
-			s.degrade("snapshot write", serr)
-			return reenqueue, nil
-		}
-		s.metrics.incSnapshotWrites()
+	// Startup compaction: the journal is rewritten down to the live set.
+	// When it held records, the image is rewritten first, so compaction
+	// never drops the only durable copy of a result or of a job's end;
+	// so it is when replay quarantined frames, which then stay behind.
+	image := ""
+	if len(jnl.recs) > 0 || quarantined > 0 {
+		image = s.cfg.SnapshotPath
 	}
-	live := make([]journalRecord, 0, len(reenqueue))
-	for _, job := range reenqueue {
-		live = append(live, submittedRecord(job))
-	}
-	if rerr := j.Rotate(live); rerr != nil {
-		s.degrade("journal compaction", rerr)
-	} else {
-		s.metrics.incRotations()
+	if what, err := s.compact(image); err != nil {
+		s.degrade(what, err)
 	}
 	return reenqueue, nil
 }
@@ -665,7 +682,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) Cache() *Cache { return s.cache }
 
 // degrade switches the daemon to memory-only mode after a disk-write
-// failure: journaling and snapshotting stop, everything else keeps
+// failure: journaling and image writes stop, everything else keeps
 // serving, and /healthz reports degraded. First reason wins.
 func (s *Server) degrade(what string, err error) {
 	s.mu.Lock()
@@ -1342,7 +1359,7 @@ func (s *Server) Running() int {
 // concurrency limit (0 when admission control is disabled).
 func (s *Server) AdmissionLimit() int { return s.adm.Limit() }
 
-// flushLoop writes the cache snapshot (and compacts the journal) every
+// flushLoop writes the image (and compacts the journal) every
 // interval, so a crash loses at most one interval of cache entries.
 func (s *Server) flushLoop(interval time.Duration) {
 	defer close(s.flushDone)
@@ -1363,68 +1380,110 @@ func (s *Server) stopFlush() {
 	<-s.flushDone
 }
 
-// Persist writes the cache snapshot now (atomic temp-file+rename) and
-// compacts the journal against it: every terminal job's records are
-// dropped — its result lives in the snapshot — leaving only the live
-// (queued/running) set. Disk failures degrade to memory-only mode. Safe
-// to call at any time; the flush ticker and Shutdown use it.
+// Persist writes the image now and compacts the journal against it:
+// every finished job's records are dropped — its result lives in the
+// image — leaving only the live (queued/running) set. Disk failures
+// degrade to memory-only mode. Safe to call at any time; the flush
+// ticker, Shutdown and the journal scrub use it.
 func (s *Server) Persist() error {
-	s.mu.Lock()
-	disabled := s.degraded || s.killed
-	s.mu.Unlock()
-	if disabled {
-		return nil
+	if what, err := s.compact(s.cfg.SnapshotPath); err != nil {
+		s.degrade(what, err)
+		return fmt.Errorf("service: %s: %w", what, err)
 	}
+	return nil
+}
 
-	// Flushes belong to no request; they trace under the "server"
+// image is the server's compacted state: every cache entry, least
+// recently used first, the submitted record of every live (queued or
+// running) job, and the replication sequence to resume from.
+type image struct {
+	entries []CacheEntry
+	live    []journalRecord
+	resume  uint64
+}
+
+// imageLocked gathers the image. The resume sequence is read first, so
+// a record landing meanwhile is both in a bootstrap and re-streamed —
+// applying it twice is idempotent. Caller holds s.mu.
+func (s *Server) imageLocked() image {
+	im := image{resume: s.repl.nextSeq(), entries: s.cache.Entries()}
+	for _, id := range s.order {
+		if job, ok := s.jobs[id]; ok && !job.State.terminal() {
+			im.live = append(im.live, submittedRecord(job))
+		}
+	}
+	return im
+}
+
+// frames encodes the image: a done frame per cache entry, a submitted
+// frame per live job, and a closing checkpoint frame whose Seq is the
+// resume sequence. These bytes are both the file at SnapshotPath and the
+// body of GET /v1/replication/snapshot.
+func (im image) frames() ([]byte, error) {
+	recs := make([]journalRecord, 0, len(im.entries)+len(im.live)+1)
+	for i := range im.entries {
+		recs = append(recs, doneRecord("", &im.entries[i]))
+	}
+	recs = append(recs, im.live...)
+	return frameAll(append(recs, journalRecord{Op: opCheckpoint, Seq: im.resume}))
+}
+
+// compact is the one compaction: it writes the image to imagePath (none
+// when empty) and rotates the journal down to the live jobs. The image
+// is gathered under s.mu and then the journal lock — the order
+// recordLocked takes them in — and the journal lock is held until the
+// rotation is done, so a record appended after the gather lands in the
+// rotated journal, never in the file being replaced. On failure it
+// names the step for degrade, which the caller runs once the journal
+// lock is released (degrade takes s.mu, which a recordLocked caller may
+// hold while it waits on the journal lock).
+func (s *Server) compact(imagePath string) (what string, err error) {
+	s.mu.Lock()
+	if s.degraded || s.killed {
+		s.mu.Unlock()
+		return "", nil
+	}
+	// Compactions belong to no request; they trace under the "server"
 	// pseudo-trace so slow disks still show up in /v1/traces.
-	flushStart := time.Now()
+	start := time.Now()
 	defer func() {
-		d := time.Since(flushStart)
+		d := time.Since(start)
 		s.stages.snapshot.Observe(d)
-		s.span(serverTrace, "snapshot", flushStart, d)
+		s.span(serverTrace, "snapshot", start, d)
 	}()
+	j := s.journal
+	if j != nil {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+	}
+	im := s.imageLocked()
+	s.mu.Unlock()
 
-	if s.cfg.SnapshotPath != "" {
-		if err := s.cache.SaveFileFS(s.cfg.FS, s.cfg.SnapshotPath); err != nil {
-			s.degrade("snapshot write", err)
-			return fmt.Errorf("service: writing cache snapshot: %w", err)
+	if imagePath != "" {
+		body, err := im.frames()
+		if err == nil {
+			err = writeFileAtomic(s.cfg.FS, imagePath, body)
+		}
+		if err != nil {
+			return "image write", err
 		}
 		s.metrics.incSnapshotWrites()
 	}
-
-	// Gather the live set, then rotate. A job finishing between the two
-	// steps merely stays listed one rotation longer; its replay re-runs
-	// a completed cell, which is idempotent by determinism.
-	s.mu.Lock()
-	j := s.journal
-	var live []journalRecord
 	if j != nil {
-		for _, id := range s.order {
-			job, ok := s.jobs[id]
-			if !ok || job.State.terminal() {
-				continue
-			}
-			live = append(live, submittedRecord(job))
-		}
-	}
-	s.mu.Unlock()
-	if j != nil {
-		if err := j.Rotate(live); err != nil {
-			s.degrade("journal rotation", err)
-			return fmt.Errorf("service: rotating journal: %w", err)
+		if err := j.rotateLocked(im.live); err != nil {
+			return "journal rotation", err
 		}
 		s.metrics.incRotations()
 	}
-	return nil
+	return "", nil
 }
 
 // Shutdown drains the daemon gracefully: it stops accepting jobs,
 // closes the queue, and waits for queued and running work to finish. If
 // ctx expires first, every in-flight simulation is canceled through the
 // sim-level cancellation hook and Shutdown waits for the (now prompt)
-// worker exit. The cache snapshot, when configured, is written last so
-// it includes every result the drain produced, and the journal is
+// worker exit. The image, when configured, is written last so it
+// includes every result the drain produced, and the journal is
 // compacted against it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -1468,10 +1527,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Kill crashes the daemon in-process: no drain, no final snapshot, no
+// Kill crashes the daemon in-process: no drain, no final image, no
 // further journal records — exactly what power loss would leave behind.
 // In-flight simulations are aborted; queued jobs die on the floor. The
-// journal and the last flushed snapshot on disk are the only survivors,
+// journal and the last written image on disk are the only survivors,
 // which is the whole point: restart a Server against the same paths and
 // recovery re-enqueues everything that never reached "done". Test and
 // chaos-harness hook; production crashes don't ask first.

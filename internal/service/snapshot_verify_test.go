@@ -3,21 +3,22 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// TestSnapshotDigestVerification: a result silently corrupted at rest in
-// the snapshot is never served. The cache read that meets it fails the
+// TestSnapshotDigestVerification: a result corrupted before its image
+// frame was sealed is never served. The cache read that meets it fails the
 // content-digest re-hash, quarantines the entry (preserved for
 // post-mortem, counted, visible on /metrics), and the corrupted cell
 // recomputes instead. Healthy entries load and serve normally.
 func TestSnapshotDigestVerification(t *testing.T) {
 	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "cache.json")
+	snapPath := filepath.Join(dir, "cache.snap")
 
-	// First incarnation: settle two cells and persist the snapshot.
+	// First incarnation: settle two cells and persist the image.
 	s1, ts1 := newTestServer(t, Config{Workers: 2, SnapshotPath: snapPath})
 	_, sr1 := postJob(t, ts1, `{"workload":"kmeans","detection":"subblock-4","scale":"tiny","seed":1}`)
 	good := waitDone(t, ts1, sr1.Jobs[0].ID)
@@ -27,42 +28,27 @@ func TestSnapshotDigestVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt the victim's result bytes on disk without touching its
-	// recorded digest — a lying disk, not a truncated file.
-	raw, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		SchemaVersion int          `json:"schemaVersion"`
-		Entries       []CacheEntry `json:"entries"`
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Entries) != 2 {
-		t.Fatalf("snapshot has %d entries, want 2", len(snap.Entries))
-	}
-	victimIdx := -1
-	for i := range snap.Entries {
-		if snap.Entries[i].Key == victim.Key {
-			victimIdx = i
+	// Flip one digit of the victim's result bytes and re-seal its frame's
+	// CRC: the entry was corrupted before it was framed, so the frame
+	// verifies and only the recorded digest can catch it.
+	victimKey := []byte(fmt.Sprintf(`"key":%q`, victim.Key))
+	frames, tampered := 0, 0
+	rewriteFrames(t, snapPath, func(payload []byte) []byte {
+		if !bytes.Contains(payload, []byte(`"op":"done"`)) {
+			return payload
 		}
-	}
-	if victimIdx < 0 {
-		t.Fatalf("victim key %s not in snapshot", victim.Key)
-	}
-	tampered := bytes.Replace(snap.Entries[victimIdx].Result, []byte(`"cycles"`), []byte(`"cycLes"`), 1)
-	if bytes.Equal(tampered, snap.Entries[victimIdx].Result) {
-		t.Fatal("tamper did not change the result bytes")
-	}
-	snap.Entries[victimIdx].Result = tampered
-	out, err := json.Marshal(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapPath, out, 0o644); err != nil {
-		t.Fatal(err)
+		frames++
+		if !bytes.Contains(payload, victimKey) {
+			return payload
+		}
+		r := bytes.Index(payload, []byte(`"result":`))
+		d := r + bytes.IndexAny(payload[r:], "0123456789")
+		payload[d] ^= 0x01
+		tampered++
+		return payload
+	})
+	if frames != 2 || tampered != 1 {
+		t.Fatalf("image has %d done frames (want 2), tampered %d (want 1)", frames, tampered)
 	}
 
 	// Second incarnation: both entries load; nothing has read them yet.
@@ -75,7 +61,7 @@ func TestSnapshotDigestVerification(t *testing.T) {
 	_, hit := postJob(t, ts2, `{"workload":"kmeans","detection":"subblock-4","scale":"tiny","seed":1}`)
 	hitView := waitDone(t, ts2, hit.Jobs[0].ID)
 	if !hitView.CacheHit {
-		t.Fatal("healthy snapshot entry was not served from cache")
+		t.Fatal("healthy image entry was not served from cache")
 	}
 	var a, b bytes.Buffer
 	if err := json.Compact(&a, hitView.Result); err != nil {
