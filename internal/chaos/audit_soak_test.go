@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -99,6 +100,10 @@ func quarantineRecords(t *testing.T, path string) []audit.QuarantineRecord {
 // production cycle ledger must stay at zero: integrity work is
 // accounted to the audit counters, never to serving.
 func TestAuditScrubSoak(t *testing.T) {
+	// Registered first so that it runs last, after the deferred teardown
+	// of every node.
+	baseGoroutines := runtime.NumGoroutine()
+	t.Cleanup(func() { assertGoroutinesSettle(t, baseGoroutines) })
 	seed := auditSeed(t)
 	logf := chaosLog(t)
 	fmt.Fprintf(logf, "=== audit scrub soak seed=%#x ===\n", seed)

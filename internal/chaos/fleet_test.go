@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"testing"
@@ -185,6 +186,10 @@ func keylessPreferred(bases []string) int {
 // entry on the server that ran it — with the client's retries bounded
 // by its budget and its failover machinery demonstrably exercised.
 func TestFleetSoak(t *testing.T) {
+	// Registered first so that it runs last, after the deferred teardown
+	// of every node.
+	baseGoroutines := runtime.NumGoroutine()
+	t.Cleanup(func() { assertGoroutinesSettle(t, baseGoroutines) })
 	seed := fleetSeed(t)
 	logf := chaosLog(t)
 	fmt.Fprintf(logf, "=== fleet soak seed=%#x ===\n", seed)

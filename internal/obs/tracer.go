@@ -191,28 +191,28 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(t.slots))
-	for i := range t.slots {
-		if p := t.slots[i].Load(); p != nil {
-			out = append(out, *p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return t.collect(make([]Span, 0, len(t.slots)), func(*Span) bool { return true })
 }
 
 // Trace returns the retained spans of one trace ID, oldest first (nil
-// when none survive in the ring).
+// when none survive in the ring). It copies and sorts only that trace's
+// spans, not the whole ring.
 func (t *Tracer) Trace(id string) []Span {
 	if t == nil {
 		return nil
 	}
-	var out []Span
-	for _, s := range t.Spans() {
-		if s.Trace == id {
-			out = append(out, s)
+	return t.collect(nil, func(s *Span) bool { return s.Trace == id })
+}
+
+// collect appends the ring's spans that keep accepts to out, oldest
+// first.
+func (t *Tracer) collect(out []Span, keep func(*Span) bool) []Span {
+	for i := range t.slots {
+		if p := t.slots[i].Load(); p != nil && keep(p) {
+			out = append(out, *p)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 

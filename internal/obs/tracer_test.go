@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -118,6 +119,61 @@ func TestTracerConcurrentRecord(t *testing.T) {
 	for _, s := range tr.Spans() {
 		if s.Name != "op" {
 			t.Fatalf("torn span: %+v", s)
+		}
+	}
+}
+
+// TestTracerTraceMatchesSpans: Trace(id) returns exactly the spans of id
+// that filtering Spans() would, in Seq order, while writers wrap the ring
+// under it and once they have stopped.
+func TestTracerTraceMatchesSpans(t *testing.T) {
+	tr := NewTracer(64, nil)
+	ids := []string{"a", "b", "c", "d"}
+	var wg sync.WaitGroup
+	for g, id := range ids {
+		wg.Add(1)
+		go func(g int, id string) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				tr.Record(id, "op", time.Now(), time.Now())
+				if i%40 == g {
+					got := tr.Trace(id)
+					for k, s := range got {
+						if s.Trace != id || (k > 0 && s.Seq <= got[k-1].Seq) {
+							t.Errorf("Trace(%q) under writers: span %d = %+v", id, k, s)
+							return
+						}
+					}
+				}
+			}
+		}(g, id)
+	}
+	wg.Wait()
+	for _, id := range append(ids, "absent") {
+		var want []Span
+		for _, s := range tr.Spans() {
+			if s.Trace == id {
+				want = append(want, s)
+			}
+		}
+		if got := tr.Trace(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("Trace(%q) = %d spans, filtering Spans() gives %d", id, len(got), len(want))
+		}
+	}
+}
+
+// BenchmarkTracerTrace looks up one request's spans in a full ring of the
+// size the server and the client use.
+func BenchmarkTracerTrace(b *testing.B) {
+	tr := NewTracer(16384, nil)
+	now := time.Now()
+	for i := 0; i < 16384; i++ {
+		tr.Record(fmt.Sprintf("trace-%d", i%2048), "op", now, now)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(tr.Trace("trace-7")) != 8 {
+			b.Fatal("lost spans")
 		}
 	}
 }

@@ -293,9 +293,9 @@ func TestDeadlineShedWhileQueued(t *testing.T) {
 func TestDeadlineCancelsRunning(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
-	// labyrinth@medium runs long enough for a 30ms deadline to land
-	// mid-simulation (the same cell the shutdown-cancel test leans on).
-	body := `{"workload":"labyrinth","detection":"baseline","scale":"medium"}`
+	// vacation@medium runs about 250ms, long enough for a 30ms deadline
+	// to land mid-simulation.
+	body := `{"workload":"vacation","detection":"baseline","scale":"medium"}`
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-ASF-Deadline", time.Now().Add(30*time.Millisecond).Format(time.RFC3339Nano))

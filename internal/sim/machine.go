@@ -3,10 +3,10 @@
 // deterministic thread scheduler and the transactional runtime that
 // workloads program against.
 //
-// Determinism contract: simulated threads are goroutines, but a strict
-// channel handshake guarantees exactly one runs at any instant; the
-// scheduler always resumes the thread with the smallest (wake-time, id)
-// pair. The same configuration and seed therefore produce bit-identical
+// Determinism contract: simulated threads are goroutines, but exactly one
+// runs at any instant: after each op the running thread resumes the thread
+// with the smallest (wake-time, id) pair, itself without a goroutine
+// switch. The same configuration and seed therefore produce bit-identical
 // results on every run.
 package sim
 
@@ -125,7 +125,9 @@ type Machine struct {
 
 	now int64 // simulated time of the op being executed
 
-	yieldCh chan yieldMsg
+	execCh chan execMsg // thread → Execute: the run's end; while unwinding, parked or finished
+
+	handoffs, stays uint64 // dispatches that resumed another thread / the yielding one; not in the Run record
 
 	// Serial fallback lock (one word in its own line).
 	lockAddr mem.Addr
@@ -160,9 +162,11 @@ type Machine struct {
 	unwinding bool
 }
 
-type yieldMsg struct {
-	t        *Thread
-	finished bool
+// execMsg ends a run: every thread finished (zero value), Cancel or
+// MaxCycles stopped it (err), or thread id panicked.
+type execMsg struct {
+	err      error
+	id       int
 	panicked any
 }
 
@@ -255,13 +259,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 
 	m := &Machine{
-		cfg:     cfg,
-		geom:    cfg.Core.Geom,
-		memory:  mem.NewMemory(),
-		bus:     coherence.NewBus(cfg.Cores),
-		root:    rng.New(cfg.Seed),
-		yieldCh: make(chan yieldMsg),
-		run:     newRunRecord(cfg),
+		cfg:    cfg,
+		geom:   cfg.Core.Geom,
+		memory: mem.NewMemory(),
+		bus:    coherence.NewBus(cfg.Cores),
+		root:   rng.New(cfg.Seed),
+		execCh: make(chan execMsg),
+		run:    newRunRecord(cfg),
 	}
 	m.alloc = mem.NewAllocator(m.geom, mem.Addr(m.geom.LineSize))
 	m.bus.SetSubBlocks(cfg.Core.Granules())
@@ -344,6 +348,7 @@ func (m *Machine) Reset(cfg Config) error {
 	}
 
 	m.now = 0
+	m.handoffs, m.stays = 0, 0
 	m.splitBuf = m.splitBuf[:0]
 	m.run = newRunRecord(cfg)
 	m.txStartedCum, m.falseCum = 0, 0
@@ -570,8 +575,18 @@ func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 		go t.main(w.Run)
 	}
 
-	if err := m.schedule(); err != nil {
-		return m.run, err
+	// Execute makes the first dispatch (ending the run early only with an
+	// error); from then on the threads dispatch and it waits for the end.
+	var end execMsg
+	if _, end.err = m.dispatch(nil); end.err == nil {
+		end = <-m.execCh
+	}
+	if end.err != nil || end.panicked != nil {
+		m.unwind()
+		if end.panicked != nil {
+			panic(fmt.Sprintf("sim: thread %d panicked: %v", end.id, end.panicked))
+		}
+		return m.run, end.err
 	}
 
 	m.aggregate()
@@ -584,57 +599,55 @@ func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 	return m.run, nil
 }
 
-// schedule is the deterministic event loop: repeatedly resume the ready
-// thread with the smallest (wake, id) until all threads have finished.
-// It returns an error if the run is canceled or the MaxCycles watchdog
-// fires; every early exit unwinds the unfinished threads first.
-func (m *Machine) schedule() error {
-	active := len(m.threads)
-	for active > 0 {
-		var next *Thread
-		for _, t := range m.threads {
-			if t.finished {
-				continue
-			}
-			if next == nil || t.wake < next.wake || (t.wake == next.wake && t.id < next.id) {
-				next = t
-			}
+// dispatch is the deterministic scheduler, run between ops by the thread
+// that yielded or finished (from), or by Execute (from nil). It resumes the
+// unfinished thread with the smallest (wake, id): from itself by returning
+// it (a stay), another by a send on its resume channel, after which from
+// may only park; the handoffs order every access to machine state. It
+// returns nil once the run has ended, with the error if it ended early.
+func (m *Machine) dispatch(from *Thread) (*Thread, error) {
+	var next *Thread
+	active := 0
+	for _, t := range m.threads {
+		if t.finished {
+			continue
 		}
-		// Watchdog windows close strictly between ops: every boundary up to
-		// the next resume time is processed before the thread runs.
-		if w := m.cfg.Watchdog.Window; w > 0 {
-			for next.wake >= m.wd.windowEnd {
-				m.watchdogTick(m.wd.windowEnd)
-				m.wd.windowEnd += w
-			}
-		}
-		if m.cfg.Cancel != nil {
-			select {
-			case <-m.cfg.Cancel:
-				m.unwind()
-				return fmt.Errorf("%w at cycle %d with %d threads still running",
-					ErrCanceled, m.now, active)
-			default:
-			}
-		}
-		if m.cfg.MaxCycles > 0 && next.wake > m.cfg.MaxCycles {
-			m.unwind()
-			return fmt.Errorf("sim: watchdog: simulation passed %d cycles with %d threads still running",
-				m.cfg.MaxCycles, active)
-		}
-		m.now = next.wake
-		next.resume <- struct{}{}
-		msg := <-m.yieldCh
-		if msg.finished {
-			msg.t.finished = true
-			active--
-			if msg.panicked != nil {
-				m.unwind()
-				panic(fmt.Sprintf("sim: thread %d panicked: %v", msg.t.id, msg.panicked))
-			}
+		active++
+		if next == nil || t.wake < next.wake || (t.wake == next.wake && t.id < next.id) {
+			next = t
 		}
 	}
-	return nil
+	if next == nil {
+		return nil, nil
+	}
+	// Watchdog windows close strictly between ops: every boundary up to
+	// the next resume time is processed before the thread runs.
+	if w := m.cfg.Watchdog.Window; w > 0 {
+		for next.wake >= m.wd.windowEnd {
+			m.watchdogTick(m.wd.windowEnd)
+			m.wd.windowEnd += w
+		}
+	}
+	if m.cfg.Cancel != nil {
+		select {
+		case <-m.cfg.Cancel:
+			return nil, fmt.Errorf("%w at cycle %d with %d threads still running",
+				ErrCanceled, m.now, active)
+		default:
+		}
+	}
+	if m.cfg.MaxCycles > 0 && next.wake > m.cfg.MaxCycles {
+		return nil, fmt.Errorf("sim: watchdog: simulation passed %d cycles with %d threads still running",
+			m.cfg.MaxCycles, active)
+	}
+	m.now = next.wake
+	if next == from {
+		m.stays++
+		return next, nil
+	}
+	m.handoffs++
+	next.resume <- struct{}{}
+	return next, nil
 }
 
 // unwind ends an errored run: every unfinished thread is resumed with
@@ -647,9 +660,7 @@ func (m *Machine) unwind() {
 	for _, t := range m.threads {
 		for !t.finished {
 			t.resume <- struct{}{}
-			if msg := <-m.yieldCh; msg.finished {
-				t.finished = true
-			}
+			<-m.execCh
 		}
 	}
 	m.unwinding = false

@@ -112,8 +112,8 @@ func (t *Thread) Now() int64 { return t.wake }
 type threadUnwind struct{}
 
 // main is the goroutine body: wait to be scheduled, run the workload,
-// report completion (or a panic) to the scheduler. A thread first resumed
-// by an unwinding machine never starts the workload.
+// dispatch the successor (or report a panic to Execute). A thread first
+// resumed by an unwinding machine never starts the workload.
 func (t *Thread) main(body func(*Thread)) {
 	<-t.resume
 	var pval any
@@ -126,12 +126,24 @@ func (t *Thread) main(body func(*Thread)) {
 	if _, ok := pval.(threadUnwind); ok {
 		pval = nil
 	}
-	t.m.yieldCh <- yieldMsg{t: t, finished: true, panicked: pval}
+	t.finished = true
+	if pval != nil || t.m.unwinding {
+		t.m.execCh <- execMsg{id: t.id, panicked: pval}
+	} else if next, err := t.m.dispatch(t); next == nil {
+		t.m.execCh <- execMsg{err: err}
+	}
 }
 
-// yield hands control back to the scheduler and blocks until rescheduled.
+// yield dispatches the next op and, unless it is this thread's, parks
+// until rescheduled.
 func (t *Thread) yield() {
-	t.m.yieldCh <- yieldMsg{t: t}
+	if t.m.unwinding {
+		t.m.execCh <- execMsg{}
+	} else if next, err := t.m.dispatch(t); next == t {
+		return
+	} else if next == nil {
+		t.m.execCh <- execMsg{err: err}
+	}
 	<-t.resume
 	if t.m.unwinding {
 		panic(threadUnwind{})
